@@ -7,14 +7,15 @@ BENCH_JSON_DIR ?= /tmp/wasp-bench-json
 BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings
 
 .PHONY: all check test bench bench-json bench-baselines bench-gate \
-	trace-smoke sched-smoke profiler-smoke chaos-smoke slo-smoke \
-	explain-smoke translate-smoke vtrace-smoke ring-smoke \
+	sched-smoke profiler-smoke chaos-smoke slo-smoke \
+	translate-smoke ring-smoke \
 	fuzz-smoke fuzz-fixtures fuzz-nightly fmt clean
 
 all:
 	dune build
 
-# tier-1 gate: full build + every test suite + the smoke tests
+# tier-1 gate: full build + every test suite (which includes the
+# trace, vtrace and explain smokes, see bin/dune) + the smoke tests
 check:
 	dune build
 	dune runtest
@@ -22,9 +23,7 @@ check:
 	$(MAKE) profiler-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) slo-smoke
-	$(MAKE) explain-smoke
 	$(MAKE) translate-smoke
-	$(MAKE) vtrace-smoke
 	$(MAKE) ring-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) fuzz-fixtures
@@ -50,13 +49,6 @@ bench-gate:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bench/main.exe -- $(BENCH_GATE_FIGS) --json-out $$d > /dev/null; \
 	dune exec bin/benchdiff.exe -- --baseline bench/baselines --fresh $$d $(BENCH_GATE_FIGS)
-
-# telemetry smoke: emit a Chrome trace from an instrumented run, then
-# validate it (JSON parses, phase spans present)
-trace-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --trace-json $$d/trace.json --metrics; \
-	dune exec bin/wasprun.exe -- --check-trace $$d/trace.json
 
 # multi-core scheduler smoke: run the fig12 core-scaling sweep on 4
 # simulated cores with telemetry, dump the Chrome trace, validate it
@@ -89,17 +81,6 @@ slo-smoke:
 	grep -E 'SLO-SMOKE: alerts_fired=[1-9][0-9]* .* recovered=yes' $$d/slo.txt \
 	  || { echo "slo-smoke: alert did not fire or did not recover:"; cat $$d/slo.txt; exit 1; }
 
-# explain smoke: same-seed runs of --explain-slowest must print
-# byte-identical causal timelines (deterministic trace ids + virtual
-# clock), and the span tree must tile the root exactly
-explain-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --chaos --repeat 5 --explain-slowest 1 > $$d/a.txt; \
-	dune exec bin/wasprun.exe -- --example --chaos --repeat 5 --explain-slowest 1 > $$d/b.txt; \
-	cmp $$d/a.txt $$d/b.txt || { echo "explain-smoke: same-seed explain output diverged"; exit 1; }; \
-	grep -q 'conservation: .* (exact)' $$d/a.txt \
-	  || { echo "explain-smoke: span tree does not tile the root exactly:"; cat $$d/a.txt; exit 1; }
-
 # translation smoke: a recording made under the translator must replay
 # with zero divergence on BOTH engines (the .vxr format is engine-blind),
 # and the engine-ablation bench must report zero architectural
@@ -112,22 +93,6 @@ translate-smoke:
 	dune exec bench/main.exe -- translate > $$d/tr.txt; \
 	grep -E 'TRANSLATE-SMOKE: divergence=0 speedup=[0-9]{2,}x' $$d/tr.txt \
 	  || { echo "translate-smoke: engines diverged or speedup below 10x:"; cat $$d/tr.txt; exit 1; }
-
-# vtrace smoke: attach a probe to a chaos recording run, require the
-# rendered table to see the workload, then replay the recording with the
-# same probe attached — the aggregate tables must be byte-identical
-# (probes are replay-stable and charge no simulated cycles)
-vtrace-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --chaos --record $$d/vt.vxr \
-	  --probe 'exit { count() by (reason) }' --probe-out $$d/rec.txt; \
-	grep -q '| hypercall' $$d/rec.txt \
-	  || { echo "vtrace-smoke: probe table missing hypercall exits:"; cat $$d/rec.txt; exit 1; }; \
-	dune exec bin/wasprun.exe -- --replay $$d/vt.vxr \
-	  --probe 'exit { count() by (reason) }' --probe-out $$d/rep.txt; \
-	cmp $$d/rec.txt $$d/rep.txt \
-	  || { echo "vtrace-smoke: record and replay probe tables differ"; \
-	       diff $$d/rec.txt $$d/rep.txt; exit 1; }
 
 # ring smoke: record one request through the ringed file server (two
 # exits: read + ring_enter doorbell), then replay the .vxr on BOTH

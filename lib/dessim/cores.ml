@@ -79,7 +79,7 @@ type t = {
   mutable next_seq : int;
   mutable rr : int;       (* round-robin cursor for unpinned submits *)
   mutable submitted : int;
-  mutable probes : Vtrace.Engine.t option;
+  mutable emit : (Vtrace.Ctx.t -> unit) option;
 }
 
 let create ?(steal = true) ?switch ?idle clocks =
@@ -103,20 +103,18 @@ let create ?(steal = true) ?switch ?idle clocks =
     next_seq = 0;
     rr = 0;
     submitted = 0;
-    probes = None;
+    emit = None;
   }
 
-let set_probes t e = t.probes <- e
+let set_emit t f = t.emit <- f
 
-(* vtrace scheduler sites; fired outside the clocks' charged windows so
-   they never perturb the schedule. *)
-let fire t site ~core ~reason ~cycles ~nr =
-  match t.probes with
+(* Scheduler events; emitted outside the clocks' charged windows so they
+   never perturb the schedule. *)
+let emit t site ~core ~reason ~cycles ~nr =
+  match t.emit with
   | None -> ()
-  | Some e ->
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core ~reason ~cycles ~nr:(Int64.of_int nr) site))
+  | Some f ->
+      f { Vtrace.Ctx.empty with site; core; reason; cycles; nr = Int64.of_int nr }
 
 let cores t = Array.length t.clocks
 let core_stats t = t.per_core
@@ -196,7 +194,7 @@ let step t =
       | None -> assert false);
       if src <> c then begin
         t.per_core.(c).stolen <- t.per_core.(c).stolen + 1;
-        fire t "steal" ~core:c ~reason:"steal" ~cycles:0L ~nr:src
+        emit t Steal ~core:c ~reason:"steal" ~cycles:0L ~nr:src
       end;
       let clk = t.clocks.(c) in
       let nw = Cycles.Clock.now clk in
@@ -213,7 +211,7 @@ let step t =
         s.idle_cycles <- Int64.add s.idle_cycles window;
         s.reclaim_cycles <- Int64.add s.reclaim_cycles (Int64.of_int spent);
         Cycles.Clock.advance clk window;
-        fire t "idle" ~core:c ~reason:"wait" ~cycles:window ~nr:spent
+        emit t Idle ~core:c ~reason:"wait" ~cycles:window ~nr:spent
       end;
       (match t.switch with Some f -> f c | None -> ());
       let before = Cycles.Clock.now clk in
@@ -222,7 +220,7 @@ let step t =
       let busy = Cycles.Clock.elapsed_since clk before in
       s.busy_cycles <- Int64.add s.busy_cycles busy;
       s.executed <- s.executed + 1;
-      fire t "sched"
+      emit t Sched
         ~core:c
         ~reason:(if src <> c then "stolen" else "local")
         ~cycles:busy ~nr:task.seq;

@@ -63,11 +63,12 @@ val core_stats : t -> core_stats array
 val utilization : t -> core:int -> float
 (** [busy / (busy + idle)]; 0 before the core has done anything. *)
 
-val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites: ["sched"] after each
-    task runs ([core] = executing core, [reason] = [local]/[stolen],
-    [cycles] = the task's busy window, [nr] = its submission sequence),
-    ["steal"] when a task migrates ([nr] = victim core) and ["idle"] for
-    each accounted wait window ([cycles] = the window, [nr] = the cycles
-    the idle hook consumed). Probes fire outside the charged windows and
-    never perturb the schedule. *)
+val set_emit : t -> (Vtrace.Ctx.t -> unit) option -> unit
+(** Route the scheduler's events to a sink (e.g. [Kvmsim.Kvm.emit] of
+    the system the cores belong to). Events: ["sched"] after each task
+    runs ([core] = executing core, [reason] = [local]/[stolen], [cycles]
+    = the task's busy window, [nr] = its submission sequence), ["steal"]
+    when a task migrates ([nr] = victim core) and ["idle"] for each
+    accounted wait window ([cycles] = the window, [nr] = the cycles the
+    idle hook consumed). They are emitted outside the charged windows
+    and never perturb the schedule. *)

@@ -58,15 +58,15 @@ let observe t features =
 (* Feature extraction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let flight_kind_name (k : Profiler.Flight.kind) =
-  match k with
-  | Profiler.Flight.Halt -> "hlt"
-  | Io_out { port; _ } -> Printf.sprintf "out%d" port
-  | Io_in { port } -> Printf.sprintf "in%d" port
-  | Fault f -> "fault:" ^ f
-  | Fuel -> "fuel"
-  | Ept _ -> "ept"
-  | Injected site -> "inj:" ^ site
+let flight_kind_name (ev : Vtrace.Ctx.t) =
+  match (ev.site, ev.reason) with
+  | Ept, _ -> "ept"
+  | Inject, site -> "inj:" ^ site
+  | _, "hlt" -> "hlt"
+  | _, "io_in" -> Printf.sprintf "in%d" ev.port
+  | _, "fault" -> "fault:" ^ ev.detail
+  | _, "fuel" -> "fuel"
+  | _ -> Printf.sprintf "out%d" ev.port
 
 (* Exit-kind edges: consecutive flight-ring entries as (from, to)
    pairs — the control-flow-sensitive half of the exit signal. *)
@@ -74,7 +74,7 @@ let flight_features flight =
   match flight with
   | None -> []
   | Some fl ->
-      let kinds = List.map (fun e -> flight_kind_name e.Profiler.Flight.kind) (Profiler.Flight.entries fl) in
+      let kinds = List.map (fun e -> flight_kind_name e.Profiler.Flight.event) (Profiler.Flight.entries fl) in
       let rec edges acc = function
         | a :: (b :: _ as rest) -> edges (("edge:" ^ a ^ ">" ^ b) :: acc) rest
         | _ -> acc

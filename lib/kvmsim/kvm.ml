@@ -13,9 +13,12 @@ type system = {
       (* execute guests through the superblock translation cache; off =
          pure interpreter. Cycle-identical either way. *)
   mutable probes : Vtrace.Engine.t option;
+  mutable observed : bool;
+      (* any of telemetry / flight / probes attached: the one branch an
+         event pays beyond its always-on stats fold *)
   mutable hc_port : int option;
       (* the hypercall port, when a runtime above us declared one:
-         Io_out exits on it fire vtrace "exit" probes as "hypercall" *)
+         Io_out exits on it are "hypercall" exits *)
   mutable block_probe : (pc:int -> unit) option;
       (* prebuilt superblock-entry observer, installed on each vCPU's
          translation cache while running; None unless a block probe is
@@ -78,6 +81,7 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
     plan = None;
     translate;
     probes = None;
+    observed = false;
     hc_port = None;
     block_probe = None;
     exit_reasons = Hashtbl.create 8;
@@ -106,21 +110,15 @@ let set_core sys core =
 let rng sys = sys.rng
 let stats sys = sys.stats
 
-let set_telemetry sys hub = sys.telemetry <- hub
-let set_flight sys fr = sys.flight <- fr
+let telemetry sys = sys.telemetry
 let flight sys = sys.flight
+let probes sys = sys.probes
 
 let set_fault_plan sys plan = sys.plan <- plan
 let fault_plan sys = sys.plan
 
-(* One injection fired: count it (stats + the plain and site-labeled
-   [wasp_faults_injected_total] series) and leave an [INJECTED] entry in
-   the black box, stamped with the active guest PC when there is one.
-   Bookkeeping charges no cycles — the *consequence* of the injection
-   (the spurious round trip, the storm, the raised failure) is what the
-   site charges. *)
-(* Trace id of the request currently on-CPU, so black-box entries are
-   greppable by trace. None when tracing is off or no span is open. *)
+(* Trace id of the request currently on-CPU, so events are attributable
+   to it. None when tracing is off or no span is open. *)
 let active_trace sys =
   match sys.telemetry with
   | None -> None
@@ -128,77 +126,150 @@ let active_trace sys =
 
 let set_hc_port sys port = sys.hc_port <- port
 
+(* ------------------------------------------------------------------ *)
+(* The event stream                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* What an event contributes to the metrics registry and the span sink.
+   Counters register on first touch and expose in that order, so the
+   order of the touches within an arm is part of the output
+   (test_observability pins it). *)
+let fold_telemetry h (ev : Vtrace.Ctx.t) =
+  let count ?(help = "") ?labels name =
+    Telemetry.Metrics.incr
+      (Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ~help ?labels name)
+  in
+  let instant ?args name = Telemetry.Hub.instant h ?args name in
+  let cycles () = ("cycles", Int64.to_string ev.cycles) in
+  match (ev.site, ev.reason) with
+  | Exit, reason ->
+      (match reason with
+      | "hypercall" | "io_out" | "io_in" -> count "kvm_io_exits_total"
+      | "fault" -> count "kvm_fault_exits_total"
+      | _ -> ());
+      (* one series per cause, so exit savings show up as a shrinking
+         [hypercall] series rather than a mystery delta in the total *)
+      count ~help:"KVM_RUN exits by cause" ~labels:[ ("reason", reason) ] "kvm_exits_total"
+  | Ept, _ -> count "kvm_ept_violations_total"
+  | Inject, site ->
+      let help = "fault-plan injections fired" in
+      count ~help "wasp_faults_injected_total";
+      count ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"
+  | Pool_acquire, "miss" ->
+      count "wasp_pool_misses_total";
+      instant "pool_miss"
+  | Pool_acquire, "prewarm" ->
+      count "wasp_pool_hits_total";
+      instant "pool_prewarm_hit"
+  | Pool_acquire, reason ->
+      if reason = "stall" then begin
+        count "wasp_pool_clean_stalls_total";
+        instant ~args:[ cycles () ] "clean_stall"
+      end;
+      count "wasp_pool_hits_total";
+      instant "pool_hit"
+  | Pool_release, reason ->
+      count "wasp_pool_cleans_total";
+      if reason = "async" then instant ~args:[ cycles () ] "async_clean"
+  | Pool_evict, _ -> count "wasp_pool_evictions_total"
+  | Pool_prewarm, "build" -> count "wasp_pool_prewarmed_total"
+  | Pool_prewarm, _ -> count "wasp_pool_prewarm_hits_total"
+  | Sup_backoff, _ ->
+      count "wasp_retries_total";
+      instant
+        ~args:[ ("attempt", Int64.to_string ev.nr); ("backoff", Int64.to_string ev.cycles) ]
+        "supervisor_retry"
+  | Sup_quarantine, "enter" ->
+      instant ~args:[ ("key", ev.fn); ("failures", Int64.to_string ev.nr) ] "supervisor_quarantine"
+  | Sup_quarantine, _ -> count "wasp_quarantine_rejections_total"
+  | Gateway, "shed" -> count "gateway_shed_total"
+  | Gateway, "breaker" -> count "gateway_breaker_rejections_total"
+  | _ -> ()
+
+let tally_exit sys reason =
+  let st = sys.stats in
+  (match reason with
+  | "hypercall" | "io_out" | "io_in" -> st.io_exits <- st.io_exits + 1
+  | "fault" -> st.fault_exits <- st.fault_exits + 1
+  | _ -> ());
+  match Hashtbl.find_opt sys.exit_reasons reason with
+  | Some r -> incr r
+  | None -> Hashtbl.replace sys.exit_reasons reason (ref 1)
+
+let emit sys (ev : Vtrace.Ctx.t) =
+  (match ev.site with
+  | Exit -> tally_exit sys ev.reason
+  | Ept -> sys.stats.ept_violations <- sys.stats.ept_violations + 1
+  | Inject -> sys.stats.injected_faults <- sys.stats.injected_faults + 1
+  | _ -> ());
+  if sys.observed then begin
+    (match sys.telemetry with Some h -> fold_telemetry h ev | None -> ());
+    (match (sys.flight, ev.site) with
+    | Some fr, (Exit | Ept | Inject) ->
+        Profiler.Flight.record fr ~at:(Cycles.Clock.now (clock sys)) ev
+    | _ -> ());
+    match sys.probes with
+    | None -> ()
+    | Some e ->
+        (* a matched exit probe stamps the exit's black-box entry *)
+        if Vtrace.Engine.fire e ev > 0 && ev.site = Exit then
+          Option.iter (fun fr -> Profiler.Flight.append_note fr "vtrace") sys.flight
+  end
+
+(* Sites whose only sink is the probe engine (no stats, no counters, no
+   flight entry): [listens] lets such a site skip building an event no
+   attached probe would read. *)
+let listens sys (site : Vtrace.Ctx.site) =
+  match site with
+  | Hypercall | Hypercall_ret | Block | Instr | Sup_attempt | Sched | Steal | Idle
+  | Ring_enter | Ring_op -> (
+      match sys.probes with Some e -> Vtrace.Engine.wants e site | None -> false)
+  | _ -> true
+
+let observe sys =
+  sys.observed <- sys.telemetry <> None || sys.flight <> None || sys.probes <> None
+
+let set_telemetry sys hub = sys.telemetry <- hub; observe sys
+let set_flight sys fr = sys.flight <- fr; observe sys
+
 let set_probes sys e =
   sys.probes <- e;
+  observe sys;
   sys.block_probe <-
     (match e with
-    | Some eng when Vtrace.Engine.wants eng "block" ->
+    | Some eng when Vtrace.Engine.wants eng Vtrace.Ctx.Block ->
         Some
           (fun ~pc ->
-            ignore
-              (Vtrace.Engine.fire eng
-                 (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-                    "block")))
+            emit sys
+              { Vtrace.Ctx.empty with site = Block; core = sys.cur; trace = active_trace sys; pc })
     | _ -> None)
 
-let probes sys = sys.probes
+let active_pc sys = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0
 
-let note_injection sys site =
-  sys.stats.injected_faults <- sys.stats.injected_faults + 1;
-  (match sys.telemetry with
-  | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      let help = "fault-plan injections fired" in
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help "wasp_faults_injected_total");
-      Telemetry.Metrics.incr
-        (Telemetry.Metrics.counter m ~help ~labels:[ ("site", site) ]
-           "wasp_faults_injected_total"));
-  (match sys.flight with
-  | None -> ()
-  | Some fr ->
-      let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-      Profiler.Flight.record fr
-        ?trace:(active_trace sys)
-        ~at:(Cycles.Clock.now (clock sys))
-        ~core:sys.cur ~pc (Profiler.Flight.Injected site));
-  match sys.probes with
-  | None -> ()
-  | Some e ->
-      let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-              ~reason:site "inject"))
-
+(* One injection fired: an [inject] event (stats, the plain and
+   site-labeled [wasp_faults_injected_total], an [INJECTED] black-box
+   entry stamped with the active guest PC). Bookkeeping charges no
+   cycles — the *consequence* of the injection (the spurious round trip,
+   the storm, the raised failure) is what the site charges. *)
 let plan_fires sys site =
   match sys.plan with
   | None -> false
   | Some plan ->
       let fire = Cycles.Fault_plan.fires plan ~site in
-      if fire then note_injection sys site;
+      if fire then
+        emit sys
+          {
+            Vtrace.Ctx.empty with
+            site = Inject;
+            core = sys.cur;
+            trace = active_trace sys;
+            pc = active_pc sys;
+            reason = site;
+          };
       fire
 
 let kspan sys name f =
   match sys.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h name f
-
-let kincr sys name =
-  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.incr h name
-
-(* Exit-reason split of the exit counter: one series per cause, so the
-   ring refactor's exit savings show up as a shrinking [hypercall]
-   series rather than a mystery delta in the total. *)
-let note_exit_reason sys reason =
-  (match Hashtbl.find_opt sys.exit_reasons reason with
-  | Some r -> incr r
-  | None -> Hashtbl.replace sys.exit_reasons reason (ref 1));
-  match sys.telemetry with
-  | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      Telemetry.Metrics.incr
-        (Telemetry.Metrics.counter m ~help:"KVM_RUN exits by cause"
-           ~labels:[ ("reason", reason) ] "kvm_exits_total")
 
 let exit_reason_counts sys =
   Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) sys.exit_reasons []
@@ -207,7 +278,7 @@ let exit_reason_counts sys =
 let charge sys cycles = Cycles.Clock.advance_int (clock sys) (Cycles.Costs.jitter sys.rng ~pct:0.05 cycles)
 
 let create_vm sys =
-  kincr sys "kvm_vm_creations_total";
+  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_vm_creations_total") sys.telemetry;
   kspan sys "kvm_create_vm" (fun () ->
       (* fault plan: KVM_CREATE_VM can fail (the kernel's VMCS/VMCB
          allocation returning ENOMEM). The failed ioctl still pays its
@@ -228,29 +299,21 @@ let create_vm sys =
    the paged representation. *)
 let on_page_fault sys ~shared ~page =
   if shared then begin
-    sys.stats.ept_violations <- sys.stats.ept_violations + 1;
-    kincr sys "kvm_ept_violations_total";
     let cost =
       Cycles.Costs.ept_violation + Cycles.Costs.memcpy_cost Vm.Memory.page_size
     in
     Cycles.Clock.advance_int (clock sys) cost;
-    let pc = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0 in
-    (match sys.flight with
-    | None -> ()
-    | Some fr ->
-        Profiler.Flight.record fr
-          ?trace:(active_trace sys)
-          ~at:(Cycles.Clock.now (clock sys))
-          ~core:sys.cur ~pc
-          (Profiler.Flight.Ept { page }));
-    match sys.probes with
-    | None -> ()
-    | Some e ->
-        ignore
-          (Vtrace.Engine.fire e
-             (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys) ~pc
-                ~reason:"cow_break" ~cycles:(Int64.of_int cost)
-                ~nr:(Int64.of_int page) "ept"))
+    emit sys
+      {
+        Vtrace.Ctx.empty with
+        site = Ept;
+        core = sys.cur;
+        trace = active_trace sys;
+        pc = active_pc sys;
+        reason = "cow_break";
+        cycles = Int64.of_int cost;
+        nr = Int64.of_int page;
+      }
   end
 
 let set_user_memory_region vm ~size =
@@ -271,7 +334,7 @@ let vm_memory vm =
 let vm_system vm = vm.sys
 
 let create_vcpu vm ~mode =
-  kincr vm.sys "kvm_vcpu_creations_total";
+  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_vcpu_creations_total") vm.sys.telemetry;
   kspan vm.sys "kvm_create_vcpu" (fun () ->
       charge vm.sys Cycles.Costs.kvm_create_vcpu;
       vm.sys.stats.vcpu_creations <- vm.sys.stats.vcpu_creations + 1;
@@ -291,10 +354,29 @@ let reset_vcpu v ~mode =
      block; dropping them too keeps the table from accreting garbage *)
   Vm.Translate.flush_cache v.trans
 
+(* The "exit" event of one KVM_RUN: [cycles] is the run's entry-to-exit
+   duration on the current core's clock. *)
+let emit_exit sys v ~t0 ~fuel ~port ~value ~nr ~detail reason =
+  emit sys
+    {
+      site = Exit;
+      core = sys.cur;
+      trace = active_trace sys;
+      fn = "";
+      pc = Vm.Cpu.pc v.cpu;
+      reason;
+      cycles = Int64.sub (Cycles.Clock.now (clock sys)) t0;
+      fuel = Option.value fuel ~default:0;
+      nr;
+      port;
+      value;
+      detail;
+    }
+
 let run ?fuel v =
   let sys = v.parent.sys in
   sys.stats.runs <- sys.stats.runs + 1;
-  kincr sys "kvm_runs_total";
+  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_runs_total") sys.telemetry;
   let t0 = Cycles.Clock.now (clock sys) in
   Vm.Translate.set_block_hook v.trans sys.block_probe;
   let exit =
@@ -329,72 +411,26 @@ let run ?fuel v =
         charge sys Cycles.Costs.vmexit;
         exit)
   in
-  let record_exit kind =
-    match sys.flight with
-    | None -> ()
-    | Some fr ->
-        Profiler.Flight.record fr
-          ?trace:(active_trace sys)
-          ~at:(Cycles.Clock.now (clock sys))
-          ~core:sys.cur ~pc:(Vm.Cpu.pc v.cpu) kind
-  in
-  (* vtrace "exit" site: fires after the flight entry so a matching
-     probe can stamp it; charges nothing. [cycles] is this KVM_RUN's
-     entry-to-exit duration on the current core's clock. *)
-  let fire_exit reason nr =
-    match sys.probes with
-    | None -> ()
-    | Some e ->
-        let fired =
-          Vtrace.Engine.fire e
-            (Vtrace.Ctx.make ~core:sys.cur ?trace:(active_trace sys)
-               ~pc:(Vm.Cpu.pc v.cpu) ~reason
-               ~cycles:(Int64.sub (Cycles.Clock.now (clock sys)) t0)
-               ~fuel:(Option.value fuel ~default:0)
-               ~nr "exit")
-        in
-        if fired > 0 then
-          match sys.flight with
-          | None -> ()
-          | Some fr -> Profiler.Flight.append_note fr "vtrace"
-  in
   match exit with
   | Vm.Cpu.Halt ->
-      record_exit Profiler.Flight.Halt;
-      note_exit_reason sys "hlt";
-      fire_exit "hlt" 0L;
+      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "hlt";
       Hlt
   | Vm.Cpu.Io_out { port; value } ->
-      sys.stats.io_exits <- sys.stats.io_exits + 1;
-      kincr sys "kvm_io_exits_total";
-      record_exit (Profiler.Flight.Io_out { port; value });
       (match sys.hc_port with
       | Some p when p = port ->
-          note_exit_reason sys "hypercall";
-          fire_exit "hypercall" value
-      | _ ->
-          note_exit_reason sys "io_out";
-          fire_exit "io_out" (Int64.of_int port));
+          emit_exit sys v ~t0 ~fuel ~port ~value ~nr:value ~detail:"" "hypercall"
+      | _ -> emit_exit sys v ~t0 ~fuel ~port ~value ~nr:(Int64.of_int port) ~detail:"" "io_out");
       Io_out { port; value }
   | Vm.Cpu.Io_in { port; reg } ->
-      sys.stats.io_exits <- sys.stats.io_exits + 1;
-      kincr sys "kvm_io_exits_total";
-      record_exit (Profiler.Flight.Io_in { port });
-      note_exit_reason sys "io_in";
-      fire_exit "io_in" (Int64.of_int port);
+      emit_exit sys v ~t0 ~fuel ~port ~value:0L ~nr:(Int64.of_int port) ~detail:"" "io_in";
       Io_in { port; reg }
   | Vm.Cpu.Fault f ->
-      sys.stats.fault_exits <- sys.stats.fault_exits + 1;
-      kincr sys "kvm_fault_exits_total";
-      record_exit
-        (Profiler.Flight.Fault (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f)));
-      note_exit_reason sys "fault";
-      fire_exit "fault" 0L;
+      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L
+        ~detail:(Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f))
+        "fault";
       Fault f
   | Vm.Cpu.Out_of_fuel ->
-      record_exit Profiler.Flight.Fuel;
-      note_exit_reason sys "fuel";
-      fire_exit "fuel" 0L;
+      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "fuel";
       Out_of_fuel
 
 (* Background shell construction for the pool's pipelined prewarm: the

@@ -65,10 +65,10 @@ exception Injected_failure of string
       a guest fault (retryable under supervision) without dispatching.
 
     Injected costs are charged {e without} jitter, so a chaos run under
-    the same plan and seed replays cycle-for-cycle. Each fire bumps
-    [stats.injected_faults], the [wasp_faults_injected_total] counter
-    (plain and [site]-labeled) and leaves an [INJECTED] entry in the
-    attached flight ring. *)
+    the same plan and seed replays cycle-for-cycle. Each fire emits an
+    [inject] event: it bumps [stats.injected_faults], the
+    [wasp_faults_injected_total] counter (plain and [site]-labeled) and
+    leaves an [INJECTED] entry in the attached flight ring. *)
 
 val site_spurious_exit : string
 val site_ept_storm : string
@@ -86,10 +86,10 @@ val fault_plan : system -> Cycles.Fault_plan.t option
 
 val plan_fires : system -> string -> bool
 (** Consume one opportunity at the named site against the armed plan
-    (false when none is armed). A fire does the injection bookkeeping —
-    stats, counters, flight entry — but charges no cycles; the caller
-    applies the consequence. Exposed for sites that live above the KVM
-    layer (the runtime's {!site_snapshot_corrupt}). *)
+    (false when none is armed). A fire emits the [inject] event but
+    charges no cycles; the caller applies the consequence. Exposed for
+    sites that live above the KVM layer (the runtime's
+    {!site_snapshot_corrupt}). *)
 
 val open_dev :
   ?seed:int -> ?freq_ghz:float -> ?cores:int -> ?translate:bool -> unit -> system
@@ -128,39 +128,64 @@ val exit_reason_counts : system -> (string * int) list
     reason. The fuzzer hashes it (with the flight ring's exit-edge
     pairs) into its coverage bitmap after each candidate. *)
 
+(** {2 The event stream}
+
+    Every instrumentation site — here and in the layers above, which all
+    share this system — builds one {!Vtrace.Ctx.t} per occurrence and
+    hands it to {!emit}. The sinks are folds over it: {!stats} and
+    {!exit_reason_counts} (always on), the hub's per-site counters and
+    instants, the flight ring ([exit], [ept], [inject]) and the probe
+    engine. With none of the three attached an event costs its stats
+    fold and one branch; no sink charges simulated cycles. See
+    [docs/observability.md]. *)
+
+val emit : system -> Vtrace.Ctx.t -> unit
+
+val listens : system -> Vtrace.Ctx.site -> bool
+(** False only for a site whose sole sink is the probe engine when no
+    attached probe targets it; hot sites check it before building their
+    event. *)
+
 val set_telemetry : system -> Telemetry.Hub.t option -> unit
-(** Attach (or detach) a telemetry hub; subsequent KVM transitions
-    (vm-create, memslot/EPT build, vcpu-create, [KVM_RUN]) open spans and
-    bump [kvm_*] counters on it. The hub must share this system's
-    clock. *)
+(** Attach (or detach) a telemetry hub: event counters and instants land
+    on it, and KVM transitions (vm-create, memslot/EPT build,
+    vcpu-create, [KVM_RUN]) open spans and bump [kvm_*] counters. Layers
+    above read it back with {!telemetry}. The hub must share this
+    system's clock. *)
+
+val telemetry : system -> Telemetry.Hub.t option
+
+val active_trace : system -> int64 option
+(** Trace id of the innermost open span on the attached hub ([None]
+    without a hub, with tracing off, or outside any span) — the [trace]
+    field sites stamp on their events. *)
 
 val set_flight : system -> Profiler.Flight.t option -> unit
 (** Attach (or detach) a flight recorder: every VM exit {!run} observes
-    (halt, I/O, fault, fuel) is recorded with its cycle stamp, core id
-    and guest PC. The runtime dumps the ring as a black-box report when
-    a guest faults or violates hypercall policy. *)
+    (halt, I/O, fault, fuel), every EPT break and every injection is
+    recorded with its cycle stamp, core id and guest PC. The runtime
+    dumps the ring as a black-box report when a guest faults or violates
+    hypercall policy. *)
 
 val flight : system -> Profiler.Flight.t option
 
 val set_probes : system -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites fired by this layer:
-    ["exit"] (every {!run} return — reason [hlt]/[io_out]/[io_in]/
-    [fault]/[fuel], or [hypercall] with [nr] = the hypercall number when
-    the out port matches {!set_hc_port}; [cycles] = the run's
-    entry-to-exit duration), ["ept"] (CoW break; [nr] = page, [cycles] =
-    charged cost), ["inject"] (fault-plan fire; [reason] = site) and
-    ["block"] (superblock entry under the translated engine — installed
-    as a {!Vm.Translate} block hook, so it does {e not} force the
-    interpreter fallback). When an ["exit"] probe fires, the flight
-    ring's newest entry is annotated ["vtrace"]. Probes charge zero
-    simulated cycles; detached sites cost one [None] check. *)
+(** Attach (or detach) a vtrace probe engine; it sees every event. The
+    KVM layer's own sites: ["exit"] (every {!run} return — reason
+    [hlt]/[io_out]/[io_in]/[fault]/[fuel], or [hypercall] with [nr] =
+    the hypercall number when the out port matches {!set_hc_port};
+    [cycles] = the run's entry-to-exit duration), ["ept"] (CoW break;
+    [nr] = page, [cycles] = charged cost), ["inject"] (fault-plan fire;
+    [reason] = site) and ["block"] (superblock entry under the
+    translated engine — installed as a {!Vm.Translate} block hook, so it
+    does {e not} force the interpreter fallback). *)
 
 val probes : system -> Vtrace.Engine.t option
 
 val set_hc_port : system -> int option -> unit
 (** Declare the hypercall port (the runtime above passes its [Hc.port]):
-    [Io_out] exits on it fire ["exit"] probes with reason ["hypercall"]
-    and [nr] = the value written (the hypercall number). *)
+    [Io_out] exits on it are ["hypercall"] exits with [nr] = the value
+    written (the hypercall number). *)
 
 val create_vm : system -> vm
 (** [KVM_CREATE_VM]: charges the in-kernel allocation cost. *)

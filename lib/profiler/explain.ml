@@ -99,7 +99,7 @@ let render_flight buf ~trace_hex flight =
       | Some id ->
           let mine =
             List.filter
-              (fun (e : Flight.entry) -> e.Flight.trace = Some id)
+              (fun (e : Flight.entry) -> e.Flight.event.Vtrace.Ctx.trace = Some id)
               (Flight.entries fr)
           in
           if mine <> [] then begin

@@ -5,83 +5,77 @@
    stay on permanently; on a guest fault or policy violation the last-N
    events are rendered as a "black box" report. *)
 
-type kind =
-  | Halt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int }
-  | Fault of string
-  | Fuel
-  | Ept of { page : int }
-  | Injected of string
-
 type entry = {
-  seq : int;            (** monotonically increasing exit number *)
-  at : int64;           (** virtual-clock cycle stamp *)
-  core : int;
-  pc : int;             (** guest pc at the exit *)
-  kind : kind;
-  trace : int64 option; (** active trace id, when request tracing is on *)
-  mutable note : string;  (** hypervisor annotation (hypercall nr/args/ret) *)
+  seq : int;             (** monotonically increasing exit number *)
+  at : int64;            (** virtual-clock cycle stamp *)
+  event : Vtrace.Ctx.t;  (** the [exit], [ept] or [inject] event *)
+  note : string;         (** hypervisor annotation (hypercall nr/args/ret) *)
 }
 
+(* The ring holds the events themselves — an exit costs no record beyond
+   the event its site already built — with the stamp and annotation in
+   parallel slots. *)
 type t = {
   capacity : int;
-  ring : entry option array;
+  events : Vtrace.Ctx.t array;
+  ats : int array;
+  notes : string array;
   mutable next : int;   (** ring slot for the next record *)
   mutable total : int;  (** exits ever recorded *)
-  mutable last : entry option;
 }
 
 let create ?(capacity = 128) () =
   if capacity < 1 then invalid_arg "Flight.create: capacity must be >= 1";
-  { capacity; ring = Array.make capacity None; next = 0; total = 0; last = None }
+  {
+    capacity;
+    events = Array.make capacity Vtrace.Ctx.empty;
+    ats = Array.make capacity 0;
+    notes = Array.make capacity "";
+    next = 0;
+    total = 0;
+  }
 
 let capacity t = t.capacity
 let total t = t.total
 let count t = min t.total t.capacity
 
-let record t ?trace ~at ~core ~pc kind =
-  let e = { seq = t.total; at; core; pc; kind; trace; note = "" } in
-  t.ring.(t.next) <- Some e;
+let record t ~at ev =
+  t.events.(t.next) <- ev;
+  t.ats.(t.next) <- Int64.to_int at;
+  t.notes.(t.next) <- "";
   t.next <- (t.next + 1) mod t.capacity;
-  t.total <- t.total + 1;
-  t.last <- Some e
-
-let annotate_last t note = match t.last with Some e -> e.note <- note | None -> ()
+  t.total <- t.total + 1
 
 let append_note t note =
-  match t.last with
-  | None -> ()
-  | Some e -> e.note <- (if e.note = "" then note else e.note ^ "; " ^ note)
+  if t.total > 0 then begin
+    let i = (t.next + t.capacity - 1) mod t.capacity in
+    let prev = t.notes.(i) in
+    t.notes.(i) <- (if prev = "" then note else prev ^ "; " ^ note)
+  end
 
 (* Oldest-first list of retained entries. *)
 let entries t =
   let n = count t in
   let first = (t.next - n + t.capacity * 2) mod t.capacity in
-  List.init n (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
-      | Some e -> e
-      | None -> assert false)
+  List.init n (fun k ->
+      let i = (first + k) mod t.capacity in
+      { seq = t.total - n + k; at = Int64.of_int t.ats.(i); event = t.events.(i); note = t.notes.(i) })
 
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.total <- 0;
-  t.last <- None
-
-let kind_to_string = function
-  | Halt -> "hlt"
-  | Io_out { port; value } -> Printf.sprintf "io_out port=0x%x value=%Ld" port value
-  | Io_in { port } -> Printf.sprintf "io_in port=0x%x" port
-  | Fault msg -> Printf.sprintf "FAULT %s" msg
-  | Fuel -> "out_of_fuel"
-  | Ept { page } -> Printf.sprintf "ept_violation page=%d" page
-  | Injected site -> Printf.sprintf "INJECTED %s" site
+let describe (ev : Vtrace.Ctx.t) =
+  match (ev.site, ev.reason) with
+  | Ept, _ -> Printf.sprintf "ept_violation page=%Ld" ev.nr
+  | Inject, site -> "INJECTED " ^ site
+  | _, "hlt" -> "hlt"
+  | _, "io_in" -> Printf.sprintf "io_in port=0x%x" ev.port
+  | _, "fault" -> "FAULT " ^ ev.detail
+  | _, "fuel" -> "out_of_fuel"
+  | _ -> Printf.sprintf "io_out port=0x%x value=%Ld" ev.port ev.value
 
 let pp_entry ppf e =
-  Format.fprintf ppf "#%-6d cyc=%-12Ld core=%d pc=0x%06x %s%s%s" e.seq e.at e.core e.pc
-    (kind_to_string e.kind)
-    (match e.trace with
+  let ev = e.event in
+  Format.fprintf ppf "#%-6d cyc=%-12Ld core=%d pc=0x%06x %s%s%s" e.seq e.at ev.core ev.pc
+    (describe ev)
+    (match ev.trace with
     | Some id -> Printf.sprintf " trace=%016Lx" id
     | None -> "")
     (if e.note = "" then "" else "  ; " ^ e.note)

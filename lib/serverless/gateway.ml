@@ -105,24 +105,25 @@ let slo_latency t cycles =
   | Some (_, lat) -> Telemetry.Slo.record_latency lat cycles
   | None -> ()
 
-let tincr t name =
-  match hub t with Some h -> Telemetry.Hub.incr h name | None -> ()
-
-(* vtrace "gateway" site: one fire per admission decision. *)
-let fire t ~fn ~reason ~cycles =
-  match Wasp.Runtime.probes (Vespid.runtime t.platform) with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match hub t with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make
-              ~core:(Wasp.Runtime.current_core (Vespid.runtime t.platform))
-              ?trace ~fn ~reason ~cycles "gateway"))
+(* The "gateway" event: one per admission decision, folded into the
+   refusal tallies and then into the system's sinks. *)
+let emit t ~fn ~reason ~cycles =
+  (match reason with
+  | "shed" -> t.shed_count <- t.shed_count + 1
+  | "breaker" -> t.breaker_rejections <- t.breaker_rejections + 1
+  | _ -> ());
+  let rt = Vespid.runtime t.platform in
+  let sys = Wasp.Runtime.kvm rt in
+  Kvmsim.Kvm.emit sys
+    {
+      Vtrace.Ctx.empty with
+      site = Gateway;
+      core = Wasp.Runtime.current_core rt;
+      trace = Kvmsim.Kvm.active_trace sys;
+      fn;
+      reason;
+      cycles;
+    }
 
 let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with
@@ -225,9 +226,7 @@ let parse_register_target seg =
 
 let invoke t name body =
   if not (try_take_token t) then begin
-    t.shed_count <- t.shed_count + 1;
-    tincr t "gateway_shed_total";
-    fire t ~fn:name ~reason:"shed" ~cycles:0L;
+    emit t ~fn:name ~reason:"shed" ~cycles:0L;
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
   end
@@ -244,9 +243,7 @@ let invoke t name body =
     | Open | Half_open | Closed -> ());
     match b.state with
     | Open ->
-        t.breaker_rejections <- t.breaker_rejections + 1;
-        tincr t "gateway_breaker_rejections_total";
-        fire t ~fn:name ~reason:"breaker" ~cycles:0L;
+        emit t ~fn:name ~reason:"breaker" ~cycles:0L;
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
     | Closed | Half_open -> (
@@ -258,18 +255,18 @@ let invoke t name body =
         with
         | Ok out, cycles ->
             note_success t name b;
-            fire t ~fn:name ~reason:"ok" ~cycles;
+            emit t ~fn:name ~reason:"ok" ~cycles;
             slo_availability t ~good:true;
             slo_latency t cycles;
             respond ~status:200 out
         | Error e, cycles ->
             note_failure t name b;
-            fire t ~fn:name ~reason:"error" ~cycles;
+            emit t ~fn:name ~reason:"error" ~cycles;
             slo_availability t ~good:false;
             respond ~status:500 (Printf.sprintf "function error: %s\n" e)
         | exception Vespid.Unknown_function _ ->
             (* a bad name says nothing about the function's health *)
-            fire t ~fn:name ~reason:"not_found" ~cycles:0L;
+            emit t ~fn:name ~reason:"not_found" ~cycles:0L;
             respond ~status:404 (Printf.sprintf "no such function: %s\n" name))
   end
 
@@ -290,14 +287,10 @@ let route t (req : Vhttp.Http.request) =
   | _, _ -> respond ~status:405 "method not allowed\n"
 
 let handle t raw =
-  (match hub t with
-  | Some h -> Telemetry.Hub.incr h "gateway_requests_total"
-  | None -> ());
+  Option.iter (fun h -> Telemetry.Hub.incr h "gateway_requests_total") (hub t);
   match Vhttp.Http.parse_request raw with
   | Error e ->
-      (match hub t with
-      | Some h -> Telemetry.Hub.incr h "gateway_bad_requests_total"
-      | None -> ());
+      Option.iter (fun h -> Telemetry.Hub.incr h "gateway_bad_requests_total") (hub t);
       respond ~status:400 (Printf.sprintf "bad request: %s\n" e)
   | Ok req -> (
       match hub t with

@@ -129,7 +129,7 @@ let run_cores ?(freq_ghz = 2.69) ?(think_time_s = 0.05) ?(steal = true) ?on_comp
         else spent)
       clocks
   in
-  Dessim.Cores.set_probes sched (Wasp.Runtime.probes runtime);
+  Dessim.Cores.set_emit sched (Some (Kvmsim.Kvm.emit (Wasp.Runtime.kvm runtime)));
   let samples = ref [] in
   let think = Int64.of_float (think_time_s *. cps) in
   let phase_windows =

@@ -1,5 +1,28 @@
+type site =
+  | Exit | Hypercall | Hypercall_ret | Ept | Inject | Block | Instr
+  | Pool_acquire | Pool_release | Pool_evict | Pool_prewarm
+  | Sup_attempt | Sup_backoff | Sup_quarantine
+  | Gateway | Sched | Steal | Idle | Ring_enter | Ring_op
+
+let catalog =
+  [
+    (Exit, "exit"); (Hypercall, "hypercall"); (Hypercall_ret, "hypercall_ret");
+    (Ept, "ept"); (Inject, "inject"); (Block, "block"); (Instr, "instr");
+    (Pool_acquire, "pool_acquire"); (Pool_release, "pool_release");
+    (Pool_evict, "pool_evict"); (Pool_prewarm, "pool_prewarm");
+    (Sup_attempt, "sup_attempt"); (Sup_backoff, "sup_backoff");
+    (Sup_quarantine, "sup_quarantine"); (Gateway, "gateway"); (Sched, "sched");
+    (Steal, "steal"); (Idle, "idle"); (Ring_enter, "ring_enter"); (Ring_op, "ring_op");
+  ]
+
+let sites = List.map fst catalog
+let site_name site = List.assq site catalog
+
+let site_of_string name =
+  List.find_map (fun (site, n) -> if n = name then Some site else None) catalog
+
 type t = {
-  site : string;
+  site : site;
   core : int;
   trace : int64 option;
   fn : string;
@@ -8,11 +31,14 @@ type t = {
   cycles : int64;
   fuel : int;
   nr : int64;
+  port : int;
+  value : int64;
+  detail : string;
 }
 
-let make ?(core = 0) ?trace ?(fn = "") ?(pc = 0) ?(reason = "") ?(cycles = 0L)
-    ?(fuel = 0) ?(nr = 0L) site =
-  { site; core; trace; fn; pc; reason; cycles; fuel; nr }
+let empty =
+  { site = Exit; core = 0; trace = None; fn = ""; pc = 0; reason = ""; cycles = 0L;
+    fuel = 0; nr = 0L; port = 0; value = 0L; detail = "" }
 
 type value = Int of int64 | Str of string
 
@@ -28,7 +54,7 @@ let canonical name =
 let is_numeric = function "site" | "fn" | "reason" -> false | _ -> true
 
 let get ctx = function
-  | "site" -> Str ctx.site
+  | "site" -> Str (site_name ctx.site)
   | "core" -> Int (Int64.of_int ctx.core)
   | "trace_id" -> Int (Option.value ctx.trace ~default:0L)
   | "fn" -> Str ctx.fn

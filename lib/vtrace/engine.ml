@@ -12,7 +12,7 @@ type compiled = {
 
 type t = {
   probes : compiled array;
-  by_site : (string, compiled list) Hashtbl.t;
+  by_site : (Ctx.site, compiled list) Hashtbl.t;
   mutable cur_fn : string;
   mutable metrics : Telemetry.Metrics.t option;
   mutable total_fires : int;
@@ -180,7 +180,7 @@ let values t ~probe =
 let coverage t =
   Array.to_list t.probes
   |> List.concat_map (fun p ->
-         let prefix = Printf.sprintf "%s|%d" p.cspec.Lang.site p.index in
+         let prefix = Printf.sprintf "%s|%d" (Ctx.site_name p.cspec.Lang.site) p.index in
          (prefix, float_of_int p.fired)
          :: List.map
               (fun (key, cell) ->
@@ -264,7 +264,7 @@ let folded t =
       List.iter
         (fun (key, cell) ->
           let stack =
-            String.concat ";" (p.cspec.Lang.site :: key)
+            String.concat ";" (Ctx.site_name p.cspec.Lang.site :: key)
           in
           Buffer.add_string buf
             (Printf.sprintf "%s %s\n" stack
@@ -278,7 +278,8 @@ let export t m =
     (fun p ->
       let aggfun = p.cspec.Lang.action.Lang.agg in
       let family =
-        Printf.sprintf "vtrace_%s_%s" p.cspec.Lang.site (Lang.agg_name aggfun)
+        Printf.sprintf "vtrace_%s_%s" (Ctx.site_name p.cspec.Lang.site)
+          (Lang.agg_name aggfun)
       in
       List.iter
         (fun (key, cell) ->

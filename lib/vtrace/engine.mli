@@ -1,12 +1,12 @@
 (** The probe engine: compiled probes, firing, and output.
 
-    Sites call {!fire} with a {!Ctx.t}; the engine runs every attached
-    probe for that site — predicate, then keyed aggregation — charging
-    zero simulated cycles. Detached sites pay a single [None] check
-    (the [option] test in the host layer); attached-but-unwanted sites
-    pay one hashtable miss. A per-probe firing budget bounds work and
-    memory: once a probe has fired [budget] times, further matches are
-    dropped and counted (exported as [vtrace_drops_total]).
+    The engine is one sink of the event stream: [Kvmsim.Kvm.emit] hands
+    it every {!Ctx.t}, and it runs every attached probe for that site —
+    predicate, then keyed aggregation — charging zero simulated cycles.
+    Attached-but-unwanted sites pay one hashtable miss. A per-probe
+    firing budget bounds work and memory: once a probe has fired
+    [budget] times, further matches are dropped and counted (exported as
+    [vtrace_drops_total]).
 
     Determinism contract: probes never mutate guest-visible state, never
     read wall-clock time or unseeded randomness, and never advance a
@@ -28,7 +28,7 @@ val of_string :
 
 val spec : t -> Lang.spec
 
-val wants : t -> string -> bool
+val wants : t -> Ctx.site -> bool
 (** Whether any probe targets [site] — lets hosts skip building
     contexts (and e.g. avoid opting into instruction stepping) when no
     probe would fire. *)

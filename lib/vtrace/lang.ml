@@ -1,26 +1,3 @@
-let sites =
-  [
-    "exit";
-    "hypercall";
-    "hypercall_ret";
-    "ept";
-    "inject";
-    "block";
-    "instr";
-    "pool_acquire";
-    "pool_release";
-    "pool_evict";
-    "sup_attempt";
-    "sup_backoff";
-    "sup_quarantine";
-    "gateway";
-    "sched";
-    "steal";
-    "idle";
-    "ring_enter";
-    "ring_op";
-  ]
-
 type cmp_op = Eq | Ne | Lt | Le | Gt | Ge
 type lit = Int of int64 | Str of string
 type term = Field of string | Lit of lit
@@ -34,7 +11,7 @@ type pred =
 
 type aggfun = Count | Sum | Min | Max | Avg | Hist | Quantile of float
 type action = { agg : aggfun; operand : string option; by : string list }
-type probe = { site : string; pred : pred; action : action }
+type probe = { site : Ctx.site; pred : pred; action : action }
 type spec = probe list
 
 (* ---------------------------------------------------------------- lexer *)
@@ -343,11 +320,15 @@ let action st =
 
 let probe st =
   let p = pos st in
-  let site = ident st in
-  if not (List.mem site sites) then
-    fail p
-      (Printf.sprintf "unknown probe site %S (known: %s)" site
-         (String.concat ", " sites));
+  let name = ident st in
+  let site =
+    match Ctx.site_of_string name with
+    | Some site -> site
+    | None ->
+        fail p
+          (Printf.sprintf "unknown probe site %S (known: %s)" name
+             (String.concat ", " (List.map Ctx.site_name Ctx.sites)))
+  in
   let pred =
     if peek st = COLON then begin
       advance st;
@@ -437,9 +418,9 @@ let action_to_string a =
 
 let probe_to_string p =
   match p.pred with
-  | True -> Printf.sprintf "%s { %s }" p.site (action_to_string p.action)
+  | True -> Printf.sprintf "%s { %s }" (Ctx.site_name p.site) (action_to_string p.action)
   | pred ->
-      Printf.sprintf "%s:%s { %s }" p.site (pred_to_string 0 pred)
+      Printf.sprintf "%s:%s { %s }" (Ctx.site_name p.site) (pred_to_string 0 pred)
         (action_to_string p.action)
 
 let to_string spec = String.concat "; " (List.map probe_to_string spec)

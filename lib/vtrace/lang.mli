@@ -17,11 +17,8 @@
     [p] takes the quantile first: [p(99.9, cycles)]. [count] takes no
     operand; every other aggregation requires a numeric field. Field
     names are validated against {!Ctx.fields} (aliases allowed, see
-    {!Ctx.canonical}); sites against {!sites}. String fields compare
+    {!Ctx.canonical}); sites against {!Ctx.sites}. String fields compare
     only with [==] / [!=] against string literals. *)
-
-val sites : string list
-(** The probe-site catalog (see [docs/vtrace.md] for where each fires). *)
 
 type cmp_op = Eq | Ne | Lt | Le | Gt | Ge
 type lit = Int of int64 | Str of string
@@ -42,7 +39,7 @@ type action = {
   by : string list;  (** canonical grouping fields, possibly empty *)
 }
 
-type probe = { site : string; pred : pred; action : action }
+type probe = { site : Ctx.site; pred : pred; action : action }
 
 type spec = probe list
 

@@ -44,8 +44,6 @@ type t = {
   mutable policy : reclaim_policy;
   mutable prewarm : prewarm option;
   stats : stats;
-  mutable telemetry : Telemetry.Hub.t option;
-  mutable probes : Vtrace.Engine.t option;
 }
 
 let create ?(capacity = 64) sys ~clean =
@@ -77,30 +75,50 @@ let create ?(capacity = 64) sys ~clean =
         prewarmed = 0;
         prewarm_hits = 0;
       };
-    telemetry = None;
-    probes = None;
   }
 
 let stats t = t.stats
 
-let set_telemetry t hub = t.telemetry <- hub
-let set_probes t e = t.probes <- e
+(* The stats fold: what each pool event adds to the pool's own record. *)
+let account (s : stats) (ev : Vtrace.Ctx.t) =
+  let cycles = ev.cycles in
+  match (ev.site, ev.reason) with
+  | Pool_acquire, "miss" -> s.created <- s.created + 1
+  | Pool_acquire, reason ->
+      if reason = "stall" then begin
+        s.clean_stalls <- s.clean_stalls + 1;
+        s.stall_cycles <- Int64.add s.stall_cycles cycles;
+        s.background_cycles <- Int64.add s.background_cycles cycles
+      end;
+      s.reused <- s.reused + 1
+  | Pool_release, reason ->
+      s.cleans <- s.cleans + 1;
+      if reason = "async" then s.background_cycles <- Int64.add s.background_cycles cycles
+  | Pool_evict, _ -> s.evicted <- s.evicted + 1
+  | Pool_prewarm, "build" ->
+      s.prewarmed <- s.prewarmed + 1;
+      s.background_cycles <- Int64.add s.background_cycles cycles
+  | Pool_prewarm, _ -> s.prewarm_hits <- s.prewarm_hits + 1
+  | _ -> ()
 
-(* vtrace pool sites; zero simulated cycles, one [None] check detached. *)
-let fire t site ~reason ~cycles ~nr =
-  match t.probes with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match t.telemetry with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make
-              ~core:(Kvmsim.Kvm.current_core t.sys)
-              ?trace ~reason ~cycles ~nr:(Int64.of_int nr) site))
+(* One pool event: folded into the stats, then into the system's sinks.
+   Zero simulated cycles. *)
+let emit t site ~reason ~cycles ~nr =
+  let ev =
+    {
+      Vtrace.Ctx.empty with
+      site;
+      core = Kvmsim.Kvm.current_core t.sys;
+      trace = Kvmsim.Kvm.active_trace t.sys;
+      reason;
+      cycles;
+      nr = Int64.of_int nr;
+    }
+  in
+  account t.stats ev;
+  Kvmsim.Kvm.emit t.sys ev
+
+let hub t = Kvmsim.Kvm.telemetry t.sys
 
 let set_reclaim_policy t policy = t.policy <- policy
 let reclaim_policy t = t.policy
@@ -114,10 +132,7 @@ let reclaim_pending t =
   Array.fold_left (fun acc s -> acc + Queue.length s.reclaim) 0 t.shards
 
 let tgauge t name v =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
-
-let tincr t name =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.incr h name
+  match hub t with None -> () | Some h -> Telemetry.Hub.set_gauge h name v
 
 let note_size t =
   tgauge t "wasp_pool_size" (float_of_int (size t));
@@ -166,9 +181,7 @@ let evict_lru t shard =
       | _oldest :: rest_rev ->
           l := List.rev rest_rev;
           shard.cached_count <- shard.cached_count - 1;
-          t.stats.evicted <- t.stats.evicted + 1;
-          tincr t "wasp_pool_evictions_total";
-          fire t "pool_evict" ~reason:"lru" ~cycles:0L ~nr:mem_size)
+          emit t Pool_evict ~reason:"lru" ~cycles:0L ~nr:mem_size)
 
 (* Return a cleaned shell to its shard's cache, evicting the LRU entry
    when the shard is over capacity. *)
@@ -241,11 +254,7 @@ let build_prewarmed t ~core ~mem_size ~mode =
     { vm; vcpu; mem = Kvmsim.Kvm.vm_memory vm; mem_size; home = core }
   in
   Queue.push shell t.shards.(core).prewarmed;
-  t.stats.prewarmed <- t.stats.prewarmed + 1;
-  t.stats.background_cycles <-
-    Int64.add t.stats.background_cycles (Int64.of_int shell_cost);
-  tincr t "wasp_pool_prewarmed_total";
-  fire t "pool_prewarm" ~reason:"build" ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
+  emit t Pool_prewarm ~reason:"build" ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
 
 let prewarm_step t ~core ~budget =
   match t.prewarm with
@@ -267,13 +276,11 @@ let take_prewarmed t ~mem_size ~mode =
   match Queue.peek_opt shard.prewarmed with
   | Some shell when shell.mem_size = mem_size ->
       ignore (Queue.pop shard.prewarmed);
-      t.stats.prewarm_hits <- t.stats.prewarm_hits + 1;
-      tincr t "wasp_pool_prewarm_hits_total";
       (* The handoff is one ioctl to adopt the prepared context, plus a
          vCPU reset into the requested mode — never the creation path. *)
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) Cycles.Costs.ioctl_syscall;
       Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
-      fire t "pool_prewarm" ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
+      emit t Pool_prewarm ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
         ~nr:mem_size;
       (* Standalone (Eager) mode assumes the background builder keeps
          up, mirroring Async+Eager cleaning: refill immediately as
@@ -295,7 +302,7 @@ let acquire t ~mem_size ~mode =
   (* A nested span (inside the provision phase) so a traced request can
      attribute its provision cycles to hit/stall/miss specifically. *)
   let tspan f =
-    match t.telemetry with
+    match hub t with
     | None -> f ()
     | Some h ->
         Telemetry.Hub.with_span h
@@ -303,21 +310,13 @@ let acquire t ~mem_size ~mode =
           "pool_acquire" f
   in
   tspan @@ fun () ->
-  let hit shell =
-    t.stats.reused <- t.stats.reused + 1;
-    (match t.telemetry with
-    | Some h ->
-        Telemetry.Hub.incr h "wasp_pool_hits_total";
-        Telemetry.Hub.instant h "pool_hit"
-    | None -> ());
-    Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
-    (shell, true)
-  in
+  let acquired reason ~cycles = emit t Pool_acquire ~reason ~cycles ~nr:mem_size in
   let result =
     match pop_cached shard mem_size with
     | Some shell ->
-        fire t "pool_acquire" ~reason:"hit" ~cycles:0L ~nr:mem_size;
-        hit shell
+        acquired "hit" ~cycles:0L;
+        Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
+        (shell, true)
     | None -> (
         match take_pending shard mem_size with
         | Some p ->
@@ -325,44 +324,20 @@ let acquire t ~mem_size ~mode =
                the acquire blocks on the in-flight clean and pays the
                remaining cycles — this is where deferred cleaning becomes
                visible in tail latency. *)
-            t.stats.clean_stalls <- t.stats.clean_stalls + 1;
-            t.stats.stall_cycles <-
-              Int64.add t.stats.stall_cycles (Int64.of_int p.remaining);
-            t.stats.background_cycles <-
-              Int64.add t.stats.background_cycles (Int64.of_int p.remaining);
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
-            (match t.telemetry with
-            | Some h ->
-                Telemetry.Hub.incr h "wasp_pool_clean_stalls_total";
-                Telemetry.Hub.instant h
-                  ~args:[ ("cycles", string_of_int p.remaining) ]
-                  "clean_stall"
-            | None -> ());
+            acquired "stall" ~cycles:(Int64.of_int p.remaining);
             note_reclaim t shard;
-            fire t "pool_acquire" ~reason:"stall"
-              ~cycles:(Int64.of_int p.remaining) ~nr:mem_size;
-            hit p.p_shell
+            Kvmsim.Kvm.reset_vcpu p.p_shell.vcpu ~mode;
+            (p.p_shell, true)
         | None -> (
             match take_prewarmed t ~mem_size ~mode with
             | Some shell ->
                 (* Pipelined pre-boot hit: the shell was built on idle
                    cycles, so the acquire pays only the handoff. *)
-                t.stats.reused <- t.stats.reused + 1;
-                fire t "pool_acquire" ~reason:"prewarm" ~cycles:0L ~nr:mem_size;
-                (match t.telemetry with
-                | Some h ->
-                    Telemetry.Hub.incr h "wasp_pool_hits_total";
-                    Telemetry.Hub.instant h "pool_prewarm_hit"
-                | None -> ());
+                acquired "prewarm" ~cycles:0L;
                 (shell, true)
             | None ->
-                t.stats.created <- t.stats.created + 1;
-                fire t "pool_acquire" ~reason:"miss" ~cycles:0L ~nr:mem_size;
-                (match t.telemetry with
-                | Some h ->
-                    Telemetry.Hub.incr h "wasp_pool_misses_total";
-                    Telemetry.Hub.instant h "pool_miss"
-                | None -> ());
+                acquired "miss" ~cycles:0L;
                 let vm = Kvmsim.Kvm.create_vm t.sys in
                 let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
                 let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
@@ -372,10 +347,6 @@ let acquire t ~mem_size ~mode =
   result
 
 let release t shell =
-  t.stats.cleans <- t.stats.cleans + 1;
-  (match t.telemetry with
-  | Some h -> Telemetry.Hub.incr h "wasp_pool_cleans_total"
-  | None -> ());
   (* Drop every page reference and start a clean dirty generation: the
      host-side work is O(pages), but the simulated cost model still
      charges the memset this stands for — the cleaning the paper's
@@ -384,27 +355,19 @@ let release t shell =
   let cost = Cycles.Costs.memset_cost shell.mem_size in
   match (t.clean, t.policy) with
   | Sync, _ ->
-      fire t "pool_release" ~reason:"sync" ~cycles:(Int64.of_int cost)
-        ~nr:shell.mem_size;
+      emit t Pool_release ~reason:"sync" ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) cost;
       cache t shell
   | Async, Eager ->
-      fire t "pool_release" ~reason:"async" ~cycles:(Int64.of_int cost)
-        ~nr:shell.mem_size;
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
-      t.stats.background_cycles <- Int64.add t.stats.background_cycles (Int64.of_int cost);
-      (match t.telemetry with
-      | Some h ->
-          Telemetry.Hub.instant h ~args:[ ("cycles", string_of_int cost) ] "async_clean";
-          Telemetry.Hub.set_gauge h "wasp_pool_background_cycles"
-            (Int64.to_float t.stats.background_cycles)
-      | None -> ());
+      emit t Pool_release ~reason:"async" ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
+      tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles);
       cache t shell
   | Async, Scheduled ->
       (* scheduler mode: the shell is unavailable until a cleaner core
          drains it (or an acquire stalls on it) *)
-      fire t "pool_release" ~reason:"scheduled" ~cycles:(Int64.of_int cost)
+      emit t Pool_release ~reason:"scheduled" ~cycles:(Int64.of_int cost)
         ~nr:shell.mem_size;
       let shard = t.shards.(shell.home) in
       Queue.push { p_shell = shell; remaining = cost } shard.reclaim;
@@ -428,11 +391,7 @@ let drain t ~core ~budget =
     else continue_ := false
   done;
   if !spent > 0 then begin
-    (match t.telemetry with
-    | Some h ->
-        Telemetry.Hub.set_gauge h "wasp_pool_background_cycles"
-          (Int64.to_float t.stats.background_cycles)
-    | None -> ());
+    tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles);
     note_reclaim t shard
   end;
   !spent

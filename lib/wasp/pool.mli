@@ -62,19 +62,19 @@ val create : ?capacity:int -> Kvmsim.Kvm.system -> clean:clean_mode -> t
     shard's cached-shell count; raises [Invalid_argument] if < 1. *)
 
 val stats : t -> stats
+(** The pool's record, kept live: it is a fold over the pool's events.
 
-val set_telemetry : t -> Telemetry.Hub.t option -> unit
-
-val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine. Sites: ["pool_acquire"]
-    (reason [hit]/[stall]/[miss]; a stall's [cycles] is what the acquire
-    paid for the in-flight clean), ["pool_release"] (reason
-    [sync]/[async]/[scheduled]; [cycles] = the clean's cost) and
-    ["pool_evict"] (reason [lru]). [nr] carries the shell footprint. *)
-(** Attach (or detach) a telemetry hub: hits/misses/cleans/evictions and
-    clean stalls become [wasp_pool_*] counters and instant events, async
-    cleaning updates the [wasp_pool_background_cycles] gauge, and cached
-    and queued shell counts are tracked by the [wasp_pool_size] and
+    Events (emitted to the system's sinks, see {!Kvmsim.Kvm.emit}):
+    ["pool_acquire"] (reason [hit]/[stall]/[prewarm]/[miss]; a stall's
+    [cycles] is what the acquire paid for the in-flight clean),
+    ["pool_release"] (reason [sync]/[async]/[scheduled]; [cycles] = the
+    clean's cost), ["pool_evict"] (reason [lru]) and ["pool_prewarm"]
+    (reason [build], [cycles] = the background construction cost, or
+    [take], [cycles] = the handoff). [nr] carries the shell footprint.
+    With a hub attached to the system they become [wasp_pool_*] counters
+    and instants; async cleaning also updates the
+    [wasp_pool_background_cycles] gauge, and cached and queued shell
+    counts are tracked by the [wasp_pool_size] and
     [wasp_pool_reclaim_depth] gauges (with [_core<i>] variants on
     multi-core systems). *)
 

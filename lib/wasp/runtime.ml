@@ -24,10 +24,8 @@ type t = {
   hostenv : Hostenv.t;
   boot_rng : Cycles.Rng.t;
   mutable tracer : Trace.t option;
-  mutable telemetry : Telemetry.Hub.t option;
   mutable profiler : Profiler.Profile.t option;
   mutable recorder : Profiler.Replay.t option;
-  mutable probes : Vtrace.Engine.t option;
   mutable last_flight : string option;
   reset : reset_mode;
   run_stats : run_stats;
@@ -52,14 +50,12 @@ let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `
     sys;
     pool = Pool.create ?capacity:pool_capacity sys ~clean;
     pool_enabled = pool;
-    snapshot_store = Snapshot_store.create ?capacity:snapshot_capacity ();
+    snapshot_store = Snapshot_store.create ?capacity:snapshot_capacity sys;
     hostenv = Hostenv.create ();
     boot_rng = Cycles.Rng.split (Kvmsim.Kvm.rng sys);
     tracer = None;
-    telemetry = None;
     profiler = None;
     recorder = None;
-    probes = None;
     last_flight = None;
     reset;
     run_stats =
@@ -96,13 +92,10 @@ let drop_snapshot t ~key = Snapshot_store.clear t.snapshot_store ~key
 let stats t = t.run_stats
 
 let set_telemetry t hub =
-  t.telemetry <- hub;
-  Pool.set_telemetry t.pool hub;
-  Snapshot_store.set_telemetry t.snapshot_store hub;
   Kvmsim.Kvm.set_telemetry t.sys hub;
   match t.tracer with Some tr -> Trace.mirror tr hub | None -> ()
 
-let telemetry t = t.telemetry
+let telemetry t = Kvmsim.Kvm.telemetry t.sys
 
 let set_profiler t p = t.profiler <- p
 let profiler t = t.profiler
@@ -110,12 +103,8 @@ let profiler t = t.profiler
 let set_recorder t r = t.recorder <- r
 let recorder t = t.recorder
 
-let set_probes t e =
-  t.probes <- e;
-  Kvmsim.Kvm.set_probes t.sys e;
-  Pool.set_probes t.pool e
-
-let probes t = t.probes
+let set_probes t e = Kvmsim.Kvm.set_probes t.sys e
+let probes t = Kvmsim.Kvm.probes t.sys
 
 let flight t = Kvmsim.Kvm.flight t.sys
 let flight_dump t = t.last_flight
@@ -126,16 +115,29 @@ let fault_plan t = Kvmsim.Kvm.fault_plan t.sys
 
 (* Telemetry shims: all no-ops when no hub is attached. *)
 let tspan t ?args name f =
-  match t.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
+  match telemetry t with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
 
 let tincr t ?by name =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.incr h ?by name
+  match telemetry t with None -> () | Some h -> Telemetry.Hub.incr h ?by name
 
 let tobserve t name v =
-  match t.telemetry with None -> () | Some h -> Telemetry.Hub.observe h name v
+  match telemetry t with None -> () | Some h -> Telemetry.Hub.observe h name v
 
-let active_trace t =
-  match t.telemetry with None -> None | Some h -> Telemetry.Hub.current_trace h
+(* One runtime event (hypercall or ring site) into the system's sinks;
+   zero simulated cycles. These sites feed probes only, so the event is
+   built only when a probe listens. *)
+let emit_event t site ~reason ~cycles ~nr =
+  if Kvmsim.Kvm.listens t.sys site then
+    Kvmsim.Kvm.emit t.sys
+      {
+        Vtrace.Ctx.empty with
+        site;
+        core = current_core t;
+        trace = Kvmsim.Kvm.active_trace t.sys;
+        reason;
+        cycles;
+        nr = Int64.of_int nr;
+      }
 
 let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls ~denied
     ~from_snapshot =
@@ -165,7 +167,7 @@ let set_trace t tr =
   (match tr with
   | Some tr ->
       Trace.attach_clock tr (clock t);
-      Trace.mirror tr t.telemetry
+      Trace.mirror tr (telemetry t)
   | None -> ());
   t.tracer <- tr
 
@@ -192,7 +194,7 @@ let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
    gauges charge no cycles). *)
 let note_mem_gauges t mem =
-  match t.telemetry with
+  match telemetry t with
   | None -> ()
   | Some h ->
       let st = Vm.Memory.page_stats mem in
@@ -247,20 +249,9 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
     (fun () ->
       inv.hypercalls <- inv.hypercalls + 1;
       emit t (Trace.Hypercall { nr; allowed });
-      (* vtrace "hypercall" / "hypercall_ret" bracket the dispatch: the
-         return fire carries the handler's charged cycles and (in
-         [reason]) whether policy let it through. *)
-      let fire_hc site cycles =
-        match t.probes with
-        | None -> ()
-        | Some e ->
-            ignore
-              (Vtrace.Engine.fire e
-                 (Vtrace.Ctx.make ~core:(current_core t)
-                    ?trace:(active_trace t) ~reason:(Hc.name nr) ~cycles
-                    ~nr:(Int64.of_int nr) site))
-      in
-      fire_hc "hypercall" 0L;
+      (* "hypercall" / "hypercall_ret" events bracket the dispatch: the
+         return carries the handler's charged cycles. *)
+      emit_event t Hypercall ~reason:(Hc.name nr) ~cycles:0L ~nr;
       let hc_start = Cycles.Clock.now (clock t) in
       let r0 =
         if not allowed then begin
@@ -290,7 +281,9 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
                   Hc.err_inval)
         end
       in
-      fire_hc "hypercall_ret" (Cycles.Clock.elapsed_since (clock t) hc_start);
+      emit_event t Hypercall_ret ~reason:(Hc.name nr)
+        ~cycles:(Cycles.Clock.elapsed_since (clock t) hc_start)
+        ~nr;
       r0)
 
 let no_overrides (_ : int) : Inv.handler option = None
@@ -319,15 +312,6 @@ type drain_outcome = Drain_done of int64 | Drain_fault of Vm.Cpu.fault
 let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel_left =
   tincr t "wasp_ring_enters_total";
   inv.hypercalls <- inv.hypercalls + 1;
-  let fire_ring site ~reason ~cycles ~nr =
-    match t.probes with
-    | None -> ()
-    | Some e ->
-        ignore
-          (Vtrace.Engine.fire e
-             (Vtrace.Ctx.make ~core:(current_core t) ?trace:(active_trace t)
-                ~reason ~cycles ~nr site))
-  in
   (* A corrupt ring header is indistinguishable from any other wild
      guest write: the whole doorbell completes as a contained guest
      fault (retryable under supervision), with a black-box dump. *)
@@ -348,7 +332,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
     else if pending < 0 || pending > Layout.ring_entries then
       corrupt (Printf.sprintf "ring corrupt: sq_head=%Ld sq_tail=%Ld" head0 tail)
     else begin
-      fire_ring "ring_enter" ~reason:"enter" ~cycles:0L ~nr:(Int64.of_int pending);
+      emit_event t Ring_enter ~reason:"enter" ~cycles:0L ~nr:pending;
       (* Replay transcript: the doorbell first (head/tail window, ret =
          pending), then one event per SQE in drain order. Replays re-run
          the drain for real, so the per-op events self-verify. *)
@@ -473,9 +457,9 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
                Profiler.Flight.append_note fr
                  (Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
            | None -> ());
-           fire_ring "ring_op" ~reason:(Hc.name sqe.Ring.nr)
+           emit_event t Ring_op ~reason:(Hc.name sqe.Ring.nr)
              ~cycles:(Cycles.Clock.elapsed_since (clock t) at)
-             ~nr:(Int64.of_int sqe.Ring.nr);
+             ~nr:sqe.Ring.nr;
            if Ring.has sqe.Ring.flags Ring.flag_halt && Int64.compare result 0L < 0 then
              halted := true;
            incr completed;
@@ -500,7 +484,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     ~inspect =
   (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
      the image; give the engine the name so their [fn] field resolves. *)
-  (match t.probes with Some e -> Vtrace.Engine.set_fn e image.name | None -> ());
+  Option.iter (fun e -> Vtrace.Engine.set_fn e image.name) (probes t);
   (* CoW mode retains one shell per snapshot key across invocations; a
      retained shell pins the invocation to its home core (its vCPU bills
      that core's clock), so switch before stamping [start] *)
@@ -709,16 +693,21 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
      Block-level probes do NOT go through here — they ride the
      translation cache's superblock-entry hook. *)
   let instr_probe =
-    match t.probes with
-    | Some e when Vtrace.Engine.wants e "instr" ->
+    match probes t with
+    | Some e when Vtrace.Engine.wants e Instr ->
         Some
           (fun ~pc ~instr ~cost ->
-            ignore
-              (Vtrace.Engine.fire e
-                 (Vtrace.Ctx.make ~core:(current_core t)
-                    ?trace:(active_trace t) ~fn:image.name ~pc
-                    ~reason:(Profiler.Profile.opcode_key instr)
-                    ~cycles:(Int64.of_int cost) "instr")))
+            Kvmsim.Kvm.emit t.sys
+              {
+                Vtrace.Ctx.empty with
+                site = Instr;
+                core = current_core t;
+                trace = Kvmsim.Kvm.active_trace t.sys;
+                fn = image.name;
+                pc;
+                reason = Profiler.Profile.opcode_key instr;
+                cycles = Int64.of_int cost;
+              })
     | _ -> None
   in
   (match t.profiler with
@@ -793,10 +782,8 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
-  let go () = run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect in
-  match t.telemetry with
-  | None -> go ()
-  | Some h -> Telemetry.Hub.with_span h ~args:[ ("image", image.name) ] "invocation" go
+  tspan t ~args:[ ("image", image.name) ] "invocation" (fun () ->
+      run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect)
 
 (* ------------------------------------------------------------------ *)
 (* Native payloads                                                     *)
@@ -873,7 +860,7 @@ end
 
 let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
     ~body =
-  (match t.probes with Some e -> Vtrace.Engine.set_fn e name | None -> ());
+  Option.iter (fun e -> Vtrace.Engine.set_fn e name) (probes t);
   let retained_shell =
     match (t.reset, snapshot_key) with
     | `Cow, Some key -> Hashtbl.find_opt t.retained key
@@ -985,10 +972,6 @@ let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~sna
 let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
-  let go () =
-    run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-      ~body
-  in
-  match t.telemetry with
-  | None -> go ()
-  | Some h -> Telemetry.Hub.with_span h ~args:[ ("payload", name) ] "invocation" go
+  tspan t ~args:[ ("payload", name) ] "invocation" (fun () ->
+      run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
+        ~body)

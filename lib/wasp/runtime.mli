@@ -118,8 +118,9 @@ val set_telemetry : t -> Telemetry.Hub.t option -> unit
     [invocation] span tiled by phase spans ([provision],
     [image_load]/[boot] or [snapshot_restore], [marshal], [execute] with
     nested [hypercall]/[snapshot_capture] spans, [clean]) whose depth-1
-    durations sum exactly to the invocation's reported [cycles]; the
-    pool, the KVM layer and an attached trace feed the same hub; and the
+    durations sum exactly to the invocation's reported [cycles]; the hub
+    is attached to the runtime's KVM system ({!kvm}), so every layer's
+    events, spans and gauges and an attached trace feed it; and the
     [wasp_*] metrics (invocation counters, boot/invocation cycle
     histograms, pool gauges) are kept up to date. *)
 
@@ -146,9 +147,9 @@ val set_recorder : t -> Profiler.Replay.t option -> unit
 val recorder : t -> Profiler.Replay.t option
 
 val set_probes : t -> Vtrace.Engine.t option -> unit
-(** Attach (or detach) a vtrace probe engine, threading it through the
-    KVM layer (["exit"], ["ept"], ["inject"], ["block"] sites) and the
-    shell pool (["pool_*"] sites); this layer itself fires
+(** Attach (or detach) a vtrace probe engine to the runtime's KVM
+    system, where it sees every event the layers emit (see
+    {!Kvmsim.Kvm.emit}); this layer itself emits
     ["hypercall"]/["hypercall_ret"] around every dispatch and, when an
     ["instr"] probe is attached, installs a vCPU step hook — which
     forces the interpreter (cycle-identical) for the execute phase, the

@@ -15,10 +15,10 @@ type t = {
   mutable tick : int;               (* monotonic LRU stamp *)
   mutable evictions : int;
   mutable total_bytes : int;        (* sum of entry footprints *)
-  mutable telemetry : Telemetry.Hub.t option;
+  sys : Kvmsim.Kvm.system;  (* its hub gets the store's gauges and evictions *)
 }
 
-let create ?(capacity = 64) () =
+let create ?(capacity = 64) sys =
   if capacity < 1 then invalid_arg "Snapshot_store.create: capacity must be >= 1";
   {
     entries = Hashtbl.create 16;
@@ -26,17 +26,15 @@ let create ?(capacity = 64) () =
     tick = 0;
     evictions = 0;
     total_bytes = 0;
-    telemetry = None;
+    sys;
   }
-
-let set_telemetry t hub = t.telemetry <- hub
 
 let count t = Hashtbl.length t.entries
 let evictions t = t.evictions
 let total_bytes t = t.total_bytes
 
 let note t =
-  match t.telemetry with
+  match Kvmsim.Kvm.telemetry t.sys with
   | None -> ()
   | Some h ->
       Telemetry.Hub.set_gauge h "wasp_snapshot_store_entries" (float_of_int (count t));
@@ -68,9 +66,9 @@ let evict_lru t =
   | Some (key, _) ->
       remove t ~key;
       t.evictions <- t.evictions + 1;
-      (match t.telemetry with
-      | Some h -> Telemetry.Hub.incr h "wasp_snapshot_store_evictions_total"
-      | None -> ())
+      Option.iter
+        (fun h -> Telemetry.Hub.incr h "wasp_snapshot_store_evictions_total")
+        (Kvmsim.Kvm.telemetry t.sys)
 
 let capture t ~key ~mem ~cpu ~native_state =
   let image = Vm.Memory.capture mem in

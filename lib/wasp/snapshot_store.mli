@@ -27,13 +27,11 @@ type entry = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity 64 entries. @raise Invalid_argument if < 1. *)
-
-val set_telemetry : t -> Telemetry.Hub.t option -> unit
-(** Attach a hub: the store maintains [wasp_snapshot_store_entries] /
-    [wasp_snapshot_store_bytes] gauges and bumps
-    [wasp_snapshot_store_evictions_total]. *)
+val create : ?capacity:int -> Kvmsim.Kvm.system -> t
+(** Default capacity 64 entries. @raise Invalid_argument if < 1. While
+    the system has a telemetry hub attached, the store maintains
+    [wasp_snapshot_store_entries] / [wasp_snapshot_store_bytes] gauges
+    and bumps [wasp_snapshot_store_evictions_total] on it. *)
 
 val capture :
   t ->

@@ -96,38 +96,35 @@ let slo_record t ~good =
 
 let now t = Cycles.Clock.now (Runtime.clock t.rt)
 
-let tincr t ?by name =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h -> Telemetry.Hub.incr h ?by name
+let hub t = Runtime.telemetry t.rt
 
-let tincr_labeled t name ~help ~label =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h ->
-      let m = Telemetry.Hub.metrics h in
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help name);
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help ~labels:[ label ] name)
+(* The stats fold: what each supervisor event adds to the record. *)
+let account (s : stats) (ev : Vtrace.Ctx.t) =
+  match (ev.site, ev.reason) with
+  | Sup_backoff, _ ->
+      s.retries <- s.retries + 1;
+      s.backoff_cycles <- Int64.add s.backoff_cycles ev.cycles
+  | Sup_quarantine, "reject" -> s.quarantine_rejections <- s.quarantine_rejections + 1
+  | _ -> ()
 
-let tinstant t ?args name =
-  match Runtime.telemetry t.rt with
-  | None -> ()
-  | Some h -> Telemetry.Hub.instant h ?args name
-
-(* vtrace supervisor sites; [fn] carries the supervision key. *)
-let fire t site ~fn ~reason ~cycles ~nr =
-  match Runtime.probes t.rt with
-  | None -> ()
-  | Some e ->
-      let trace =
-        match Runtime.telemetry t.rt with
-        | None -> None
-        | Some h -> Telemetry.Hub.current_trace h
-      in
-      ignore
-        (Vtrace.Engine.fire e
-           (Vtrace.Ctx.make ~core:(Runtime.current_core t.rt) ?trace ~fn ~reason
-              ~cycles ~nr:(Int64.of_int nr) site))
+(* One supervisor event ([fn] carries the supervision key): folded into
+   the stats, then into the system's sinks. *)
+let emit t site ~fn ~reason ~cycles ~nr =
+  let sys = Runtime.kvm t.rt in
+  let ev =
+    {
+      Vtrace.Ctx.empty with
+      site;
+      core = Runtime.current_core t.rt;
+      trace = Kvmsim.Kvm.active_trace sys;
+      fn;
+      reason;
+      cycles;
+      nr = Int64.of_int nr;
+    }
+  in
+  account t.stats ev;
+  Kvmsim.Kvm.emit sys ev
 
 let streak_for t key =
   match Hashtbl.find_opt t.streaks key with
@@ -143,7 +140,7 @@ let quarantined_count t =
     t.streaks 0
 
 let note_quarantine_gauge t =
-  match Runtime.telemetry t.rt with
+  match hub t with
   | None -> ()
   | Some h ->
       Telemetry.Hub.set_gauge h "wasp_quarantined_images"
@@ -167,16 +164,20 @@ let release_quarantine t ~key =
    is quarantined until the cooldown elapses on the virtual clock. *)
 let note_failure t key class_ =
   t.stats.failed <- t.stats.failed + 1;
-  tincr_labeled t "wasp_supervised_failures_total" ~help:"supervised invocations failed"
-    ~label:("class", error_class_to_string class_);
+  Option.iter
+    (fun h ->
+      let m = Telemetry.Hub.metrics h and help = "supervised invocations failed" in
+      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help "wasp_supervised_failures_total");
+      Telemetry.Metrics.incr
+        (Telemetry.Metrics.counter m ~help
+           ~labels:[ ("class", error_class_to_string class_) ]
+           "wasp_supervised_failures_total"))
+    (hub t);
   let s = streak_for t key in
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
     s.until <- Int64.add (now t) t.config.quarantine_cooldown;
-    tinstant t
-      ~args:[ ("key", key); ("failures", string_of_int s.failures) ]
-      "supervisor_quarantine";
-    fire t "sup_quarantine" ~fn:key ~reason:"enter" ~cycles:0L ~nr:s.failures
+    emit t Sup_quarantine ~fn:key ~reason:"enter" ~cycles:0L ~nr:s.failures
   end;
   note_quarantine_gauge t
 
@@ -214,9 +215,9 @@ let backoff_for t ~retry =
 let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   let key = match key with Some k -> k | None -> image.Image.name in
   t.stats.supervised <- t.stats.supervised + 1;
-  tincr t "wasp_supervised_total";
+  Option.iter (fun h -> Telemetry.Hub.incr h "wasp_supervised_total") (hub t);
   let tspan ?(sargs = []) name f =
-    match Runtime.telemetry t.rt with
+    match hub t with
     | None -> f ()
     | Some h -> Telemetry.Hub.with_span h ~args:sargs name f
   in
@@ -226,9 +227,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   tspan ~sargs:[ ("key", key) ] "supervised" @@ fun () ->
   let start = now t in
   if quarantined t ~key then begin
-    t.stats.quarantine_rejections <- t.stats.quarantine_rejections + 1;
-    tincr t "wasp_quarantine_rejections_total";
-    fire t "sup_quarantine" ~fn:key ~reason:"reject" ~cycles:0L ~nr:0;
+    emit t Sup_quarantine ~fn:key ~reason:"reject" ~cycles:0L ~nr:0;
     slo_record t ~good:false;
     {
       result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
@@ -260,14 +259,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
           let d = backoff_for t ~retry:(k - 1) in
           Cycles.Clock.advance_int (Runtime.clock t.rt) d;
           backoff_total := !backoff_total + d;
-          t.stats.retries <- t.stats.retries + 1;
-          t.stats.backoff_cycles <- Int64.add t.stats.backoff_cycles (Int64.of_int d);
-          tincr t "wasp_retries_total";
-          tinstant t
-            ~args:[ ("attempt", string_of_int k); ("backoff", string_of_int d) ]
-            "supervisor_retry";
-          fire t "sup_backoff" ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d)
-            ~nr:k
+          emit t Sup_backoff ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d) ~nr:k
         end;
         match
           Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
@@ -277,7 +269,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
         | exception Kvmsim.Kvm.Injected_failure site ->
             Retryable (Fault, Printf.sprintf "injected failure at %s" site, None)
       in
-      fire t "sup_attempt" ~fn:key
+      emit t Sup_attempt ~fn:key
         ~reason:
           (match verdict with
           | Succeeded _ -> "ok"

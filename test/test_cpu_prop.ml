@@ -187,7 +187,7 @@ let () =
   Alcotest.run "cpu-properties"
     [
       ( "differential",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [
             prop_binop_matches_reference;
             prop_storage_always_masked;

@@ -215,7 +215,7 @@ let prop_snapshot_restore_is_exact =
       && r2.Wasp.Runtime.return_value = r3.Wasp.Runtime.return_value
       && r3.Wasp.Runtime.from_snapshot)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
 let () =
   Alcotest.run "differential"

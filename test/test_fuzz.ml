@@ -294,21 +294,21 @@ let () =
   Alcotest.run "fuzz"
     [
       ( "fault-plan",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_plan_roundtrip; prop_plan_replay_identical ] );
       ( "corpus",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_case_roundtrip; prop_truncation_never_raises ]
         @ [
             Alcotest.test_case "garbage rejected with typed errors" `Quick garbage_rejected;
             Alcotest.test_case "load_dir tolerates junk" `Quick load_dir_tolerates_junk;
           ] );
       ( "shrink",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_shrink_preserves_check; prop_shrink_monotone; prop_shrink_bounded_calls ]
       );
       ( "coverage",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_coverage_idempotent; prop_coverage_buckets_monotone ] );
       ( "determinism",
         [

@@ -341,7 +341,7 @@ let test_parse_hex_immediates () =
   | [ Instr.Mov (0, Instr.Imm 255L) ] -> ()
   | _ -> Alcotest.fail "hex immediate"
 
-let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
+let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest ~long:false t) tests)
 
 let () =
   Alcotest.run "isa"

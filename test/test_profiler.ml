@@ -227,14 +227,14 @@ start:
 let test_flight_ring_bounds () =
   let fr = Profiler.Flight.create ~capacity:4 () in
   for i = 0 to 9 do
-    Profiler.Flight.record fr ~at:(Int64.of_int (100 * i)) ~core:0 ~pc:i
-      Profiler.Flight.Halt
+    Profiler.Flight.record fr ~at:(Int64.of_int (100 * i))
+      { Vtrace.Ctx.empty with pc = i; reason = "hlt" }
   done;
   Alcotest.(check int) "total counts all" 10 (Profiler.Flight.total fr);
   Alcotest.(check int) "ring retains capacity" 4 (Profiler.Flight.count fr);
   let entries = Profiler.Flight.entries fr in
   Alcotest.(check (list int)) "oldest-first, newest retained" [ 6; 7; 8; 9 ]
-    (List.map (fun (e : Profiler.Flight.entry) -> e.Profiler.Flight.pc) entries)
+    (List.map (fun (e : Profiler.Flight.entry) -> e.Profiler.Flight.event.Vtrace.Ctx.pc) entries)
 
 let test_flight_wraparound_keeps_stamps () =
   (* two cores stamp the same ring; after wraparound every survivor must
@@ -242,12 +242,17 @@ let test_flight_wraparound_keeps_stamps () =
      note — the probe engine's stamp rides the same entry. *)
   let fr = Profiler.Flight.create ~capacity:8 () in
   for i = 0 to 11 do
-    Profiler.Flight.record fr
-      ~trace:(Int64.of_int (1000 + i))
-      ~at:(Int64.of_int (10 * i))
-      ~core:(i mod 2) ~pc:i
-      (Profiler.Flight.Io_out { port = 1; value = Int64.of_int i });
-    Profiler.Flight.annotate_last fr (Printf.sprintf "hc(%d)" i);
+    Profiler.Flight.record fr ~at:(Int64.of_int (10 * i))
+      {
+        Vtrace.Ctx.empty with
+        trace = Some (Int64.of_int (1000 + i));
+        core = i mod 2;
+        pc = i;
+        reason = "io_out";
+        port = 1;
+        value = Int64.of_int i;
+      };
+    Profiler.Flight.append_note fr (Printf.sprintf "hc(%d)" i);
     Profiler.Flight.append_note fr "vtrace"
   done;
   Alcotest.(check int) "total counts every record" 12
@@ -260,11 +265,11 @@ let test_flight_wraparound_keeps_stamps () =
     (fun (e : Profiler.Flight.entry) ->
       Alcotest.(check int)
         "cores interleave across the wrap" (e.Profiler.Flight.seq mod 2)
-        e.Profiler.Flight.core;
+        e.Profiler.Flight.event.Vtrace.Ctx.core;
       Alcotest.(check (option int64))
         "trace id survives the wrap"
         (Some (Int64.of_int (1000 + e.Profiler.Flight.seq)))
-        e.Profiler.Flight.trace;
+        e.Profiler.Flight.event.Vtrace.Ctx.trace;
       Alcotest.(check string) "annotation and vtrace stamp both survive"
         (Printf.sprintf "hc(%d); vtrace" e.Profiler.Flight.seq)
         e.Profiler.Flight.note)

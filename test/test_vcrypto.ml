@@ -173,7 +173,7 @@ let test_evp_snapshot_amortizes () =
     (Printf.sprintf "second (%Ld) cheaper than first (%Ld)" second first)
     true (second < first)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
 let () =
   Alcotest.run "vcrypto"

@@ -155,7 +155,7 @@ let test_agg_insertion_order () =
 let test_engine_budget_drops () =
   let e = engine_ok ~budget:3 "exit { count() by (reason) }" in
   for _ = 1 to 10 do
-    ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"))
+    ignore (E.fire e { Ctx.empty with reason = "hlt" })
   done;
   Alcotest.(check int) "three firings" 3 (E.fires e);
   Alcotest.(check int) "seven budget drops" 7 (E.drops e);
@@ -167,7 +167,7 @@ let test_engine_budget_drops () =
 let test_engine_key_capacity_drops () =
   let e = engine_ok ~key_capacity:2 "exit { count() by (nr) }" in
   for i = 1 to 5 do
-    ignore (E.fire e (Ctx.make ~nr:(Int64.of_int i) "exit"))
+    ignore (E.fire e { Ctx.empty with nr = Int64.of_int i })
   done;
   Alcotest.(check int) "two keys fired" 2 (E.fires e);
   Alcotest.(check int) "three key drops" 3 (E.drops e)
@@ -175,24 +175,24 @@ let test_engine_key_capacity_drops () =
 let test_engine_predicate_and_fn_substitution () =
   let e = engine_ok "exit:fn == \"fib\" { count() }" in
   E.set_fn e "fib";
-  ignore (E.fire e (Ctx.make "exit"));
+  ignore (E.fire e Ctx.empty);
   E.set_fn e "other";
-  ignore (E.fire e (Ctx.make "exit"));
+  ignore (E.fire e Ctx.empty);
   (* an explicit fn in the context wins over the engine's current fn *)
-  ignore (E.fire e (Ctx.make ~fn:"fib" "exit"));
+  ignore (E.fire e { Ctx.empty with fn = "fib" });
   Alcotest.(check int) "two matched" 2 (E.fires e)
 
 let test_engine_wants () =
   let e = engine_ok "block { count() }; exit { count() }" in
-  Alcotest.(check bool) "wants block" true (E.wants e "block");
-  Alcotest.(check bool) "wants exit" true (E.wants e "exit");
-  Alcotest.(check bool) "does not want instr" false (E.wants e "instr")
+  Alcotest.(check bool) "wants block" true (E.wants e Ctx.Block);
+  Alcotest.(check bool) "wants exit" true (E.wants e Ctx.Exit);
+  Alcotest.(check bool) "does not want instr" false (E.wants e Ctx.Instr)
 
 let test_engine_render_and_folded () =
   let e = engine_ok "exit { count() by (reason) }" in
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hypercall" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hypercall" "exit"));
+  ignore (E.fire e { Ctx.empty with reason = "hlt" });
+  ignore (E.fire e { Ctx.empty with reason = "hypercall" });
+  ignore (E.fire e { Ctx.empty with reason = "hypercall" });
   let r = E.render e in
   List.iter
     (fun needle ->
@@ -207,8 +207,8 @@ let test_engine_render_and_folded () =
 
 let test_engine_export_metrics () =
   let e = engine_ok ~budget:1 "exit { count() by (reason) }" in
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
-  ignore (E.fire e (Ctx.make ~reason:"hlt" "exit"));
+  ignore (E.fire e { Ctx.empty with reason = "hlt" });
+  ignore (E.fire e { Ctx.empty with reason = "hlt" });
   let m = Telemetry.Metrics.create () in
   E.export e m;
   (match Telemetry.Metrics.find m "vtrace_exit_count{probe=0,reason=hlt}" with
@@ -359,7 +359,7 @@ let test_sites_pool () =
   in
   let sys = Kvmsim.Kvm.open_dev () in
   let pool = Wasp.Pool.create ~capacity:1 sys ~clean:Wasp.Pool.Sync in
-  Wasp.Pool.set_probes pool (Some e);
+  Kvmsim.Kvm.set_probes sys (Some e);
   let s1, hit1 = Wasp.Pool.acquire pool ~mem_size:0x10000 ~mode:Vm.Modes.Long in
   let s2, hit2 = Wasp.Pool.acquire pool ~mem_size:0x20000 ~mode:Vm.Modes.Long in
   Alcotest.(check bool) "both cold" false (hit1 || hit2);
@@ -376,6 +376,37 @@ let test_sites_pool () =
     "release reasons" [ ([ "sync" ], 3.0) ] (values e ~probe:1);
   Alcotest.(check (list (pair (list string) (float 1e-9))))
     "evictions" [ ([ "lru" ], 1.0) ] (values e ~probe:2)
+
+let test_site_pool_prewarm () =
+  let e =
+    engine_ok
+      "pool_prewarm { count() by (reason) }; pool_acquire { count() by (reason) }"
+  in
+  let w = R.create ~seed:7 () in
+  R.set_probes w (Some e);
+  R.set_reclaim_policy w Wasp.Pool.Scheduled;
+  R.set_prewarm w
+    (Some
+       {
+         Wasp.Pool.pw_mem_size = fib_image.Wasp.Image.mem_size;
+         pw_mode = fib_image.Wasp.Image.mode;
+         pw_target = 2;
+       });
+  (* idle cycles build the queue; the cold acquire adopts one shell and,
+     scheduled, leaves the refill to the next idle window *)
+  let spent = R.prewarm_step w ~core:0 ~budget:1_000_000 in
+  Cycles.Clock.advance_int (R.clock w) spent;
+  let r = R.run w fib_image () in
+  Alcotest.(check int64) "guest unchanged" 55L r.R.return_value;
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "two builds, one handoff"
+    [ ([ "build" ], 2.0); ([ "take" ], 1.0) ]
+    (values e ~probe:0);
+  Alcotest.(check (list (pair (list string) (float 1e-9))))
+    "the acquire was a prewarm hit" [ ([ "prewarm" ], 1.0) ] (values e ~probe:1);
+  let ps = R.pool_stats w in
+  Alcotest.(check (pair int int)) "stats agree" (2, 1)
+    (ps.Wasp.Pool.prewarmed, ps.Wasp.Pool.prewarm_hits)
 
 let test_sites_supervisor () =
   let e =
@@ -438,7 +469,7 @@ let test_sites_scheduler () =
   in
   let clocks = Array.init 2 (fun _ -> Cycles.Clock.create ()) in
   let sched = Dessim.Cores.create clocks in
-  Dessim.Cores.set_probes sched (Some e);
+  Dessim.Cores.set_emit sched (Some (fun ev -> ignore (E.fire e ev)));
   (* all work lands on core 0 at release 0: once core 0's clock runs
      ahead, core 1 steals alternate tasks.  A single far-future task
      then forces an accounted idle window. *)
@@ -460,6 +491,68 @@ let test_sites_scheduler () =
     (total e ~probe:1);
   Alcotest.(check bool) "steals happened" true (Dessim.Cores.steals sched > 0);
   Alcotest.(check bool) "idle cycles observed" true (total e ~probe:2 > 0.0)
+
+(* ------------------------------------------------------------------ *)
+(* Catalog: one site list, accepted, documented and reached             *)
+(* ------------------------------------------------------------------ *)
+
+let catalog = List.map Ctx.site_name Ctx.sites
+
+(* Site names from the rows of the site table in docs/vtrace.md. *)
+let documented_sites () =
+  let lines =
+    String.split_on_char '\n'
+      (In_channel.with_open_bin "../docs/vtrace.md" In_channel.input_all)
+  in
+  let rec skip_to_table = function
+    | [] -> Alcotest.fail "docs/vtrace.md: no site table"
+    | l :: rest ->
+        if String.length l >= 8 && String.sub l 0 8 = "| site |" then rest
+        else skip_to_table rest
+  in
+  let rec rows acc = function
+    | l :: rest when String.length l > 2 && l.[0] = '|' -> (
+        match String.split_on_char '`' l with
+        | _ :: name :: _ -> rows (name :: acc) rest
+        | _ -> rows acc rest (* the |---| separator *))
+    | _ -> List.rev acc
+  in
+  rows [] (skip_to_table lines)
+
+let sorted l = List.sort_uniq compare l
+
+let test_catalog_accepted () =
+  List.iter
+    (fun site ->
+      match L.parse (site ^ " { count() }") with
+      | Ok [ p ] -> Alcotest.(check string) "round trip" site (Ctx.site_name p.L.site)
+      | Ok _ | Error _ -> Alcotest.failf "catalog site %S rejected" site)
+    catalog;
+  Alcotest.(check int) "no duplicates" (List.length catalog)
+    (List.length (sorted catalog))
+
+let test_catalog_documented () =
+  Alcotest.(check (list string))
+    "docs/vtrace.md site table = typed site list" (sorted catalog)
+    (sorted (documented_sites ()))
+
+let test_catalog_reached () =
+  let _, engines = Golden_scenario.run ~sites:catalog () in
+  let fired =
+    List.concat_map
+      (fun e ->
+        List.map
+          (fun ((p : L.probe), fires, _) -> (Ctx.site_name p.L.site, fires))
+          (E.probe_stats e))
+      engines
+  in
+  List.iter
+    (fun site ->
+      match List.assoc_opt site fired with
+      | Some n when n > 0 -> ()
+      | Some _ -> Alcotest.failf "the golden scenario never reaches site %S" site
+      | None -> Alcotest.failf "no probe attached to site %S" site)
+    catalog
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: attach vs detach, both engines                          *)
@@ -576,9 +669,17 @@ let () =
           Alcotest.test_case "ept" `Quick test_site_ept;
           Alcotest.test_case "inject" `Quick test_site_inject;
           Alcotest.test_case "pool" `Quick test_sites_pool;
+          Alcotest.test_case "pool_prewarm" `Quick test_site_pool_prewarm;
           Alcotest.test_case "supervisor" `Quick test_sites_supervisor;
           Alcotest.test_case "gateway" `Quick test_site_gateway;
           Alcotest.test_case "scheduler" `Quick test_sites_scheduler;
+        ] );
+      ( "catalog",
+        [
+          Alcotest.test_case "every site is accepted" `Quick test_catalog_accepted;
+          Alcotest.test_case "every site is documented" `Quick test_catalog_documented;
+          Alcotest.test_case "the golden scenario reaches every site" `Quick
+            test_catalog_reached;
         ] );
       ( "determinism",
         [

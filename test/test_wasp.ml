@@ -381,7 +381,7 @@ let test_cow_restore_after_pool_reuse () =
   (* one invocation initializes a single page, then snapshots *)
   Vm.Memory.write_u64 s2.Wasp.Pool.mem 0 0x42L;
   let cpu = Kvmsim.Kvm.vcpu_cpu s2.Wasp.Pool.vcpu in
-  let store = Wasp.Snapshot_store.create () in
+  let store = Wasp.Snapshot_store.create (Kvmsim.Kvm.open_dev ()) in
   ignore
     (Wasp.Snapshot_store.capture store ~key:"k" ~mem:s2.Wasp.Pool.mem ~cpu
        ~native_state:None);
@@ -592,7 +592,7 @@ let mem_with_cpu ?(size = 64 * 1024) () =
 
 let test_footprint_all_zero () =
   let mem, cpu = mem_with_cpu () in
-  let store = Wasp.Snapshot_store.create () in
+  let store = Wasp.Snapshot_store.create (Kvmsim.Kvm.open_dev ()) in
   let fp = Wasp.Snapshot_store.capture store ~key:"z" ~mem ~cpu ~native_state:None in
   Alcotest.(check int) "all-zero image has footprint 0" 0 fp;
   let entry = Option.get (Wasp.Snapshot_store.find store ~key:"z") in
@@ -605,14 +605,14 @@ let test_footprint_all_zero () =
 let test_footprint_mid_page () =
   let mem, cpu = mem_with_cpu () in
   Vm.Memory.write_u8 mem 100 0xAA;
-  let store = Wasp.Snapshot_store.create () in
+  let store = Wasp.Snapshot_store.create (Kvmsim.Kvm.open_dev ()) in
   let fp = Wasp.Snapshot_store.capture store ~key:"m" ~mem ~cpu ~native_state:None in
   Alcotest.(check int) "footprint ends mid-page after last nonzero byte" 101 fp
 
 let test_dirty_page_past_footprint_restores_to_zeros () =
   let mem, cpu = mem_with_cpu () in
   Vm.Memory.write_u64 mem 0 0x1234L;
-  let store = Wasp.Snapshot_store.create () in
+  let store = Wasp.Snapshot_store.create (Kvmsim.Kvm.open_dev ()) in
   ignore (Wasp.Snapshot_store.capture store ~key:"p" ~mem ~cpu ~native_state:None);
   let entry = Option.get (Wasp.Snapshot_store.find store ~key:"p") in
   Vm.Memory.clear_dirty mem;
@@ -625,9 +625,10 @@ let test_dirty_page_past_footprint_restores_to_zeros () =
   Alcotest.(check int64) "in-footprint data intact" 0x1234L (Vm.Memory.read_u64 mem 0)
 
 let test_snapshot_store_lru_eviction () =
-  let store = Wasp.Snapshot_store.create ~capacity:2 () in
-  let hub = Telemetry.Hub.create ~clock:(Cycles.Clock.create ()) () in
-  Wasp.Snapshot_store.set_telemetry store (Some hub);
+  let sys = Kvmsim.Kvm.open_dev () in
+  let store = Wasp.Snapshot_store.create ~capacity:2 sys in
+  let hub = Telemetry.Hub.create ~clock:(Kvmsim.Kvm.clock sys) () in
+  Kvmsim.Kvm.set_telemetry sys (Some hub);
   let capture key v =
     let mem, cpu = mem_with_cpu () in
     Vm.Memory.write_u64 mem 0 v;

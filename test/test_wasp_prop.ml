@@ -95,7 +95,7 @@ let prop_cow_restore_equals_full_restore =
        ~print:(fun (a, b) -> "init: " ^ print_writes a ^ " / dirty: " ^ print_writes b)
        QCheck.Gen.(pair (list_size (int_range 0 25) gen_write) (list_size (int_range 0 25) gen_write)))
     (fun (init_writes, dirty_writes) ->
-      let store = Wasp.Snapshot_store.create () in
+      let store = Wasp.Snapshot_store.create (Kvmsim.Kvm.open_dev ()) in
       (* capture a snapshot of memory after the init sequence *)
       let mem_a = Vm.Memory.create ~size:mem_size in
       let cpu_a = Vm.Cpu.create ~mem:mem_a ~mode:Vm.Modes.Long ~clock:(Cycles.Clock.create ()) in
@@ -155,7 +155,7 @@ let () =
   Alcotest.run "wasp-properties"
     [
       ( "policy",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [
             prop_mask_matches_list;
             prop_deny_all_denies_everything_but_exit;
@@ -163,11 +163,11 @@ let () =
             prop_mask_monotone;
           ] );
       ( "dirty-tracking",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_dirty_covers_all_writes; prop_clear_dirty_resets ] );
       ( "cow",
-        List.map QCheck_alcotest.to_alcotest [ prop_cow_restore_equals_full_restore ] );
+        List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_cow_restore_equals_full_restore ] );
       ( "pool",
-        List.map QCheck_alcotest.to_alcotest
+        List.map (fun t -> QCheck_alcotest.to_alcotest t)
           [ prop_pool_counters_consistent; prop_pooled_shells_always_clean ] );
     ]
