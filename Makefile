@@ -1,32 +1,19 @@
 # Convenience entry points; everything below is plain dune.
-#
-# Smoke targets write into a private mktemp directory cleaned by a trap,
-# so they are safe to run in parallel (make -j) and leave nothing behind.
 
 BENCH_JSON_DIR ?= /tmp/wasp-bench-json
 BENCH_GATE_FIGS ?= fig12 memshare chaos_slo translate rings
 
 .PHONY: all check test bench bench-json bench-baselines bench-gate \
-	sched-smoke profiler-smoke chaos-smoke slo-smoke \
-	translate-smoke ring-smoke \
-	fuzz-smoke fuzz-fixtures fuzz-nightly fmt clean
+	fuzz-nightly fmt clean
 
 all:
 	dune build
 
-# tier-1 gate: full build + every test suite (which includes the
-# trace, vtrace and explain smokes, see bin/dune) + the smoke tests
+# tier-1 gate: full build + every test suite, which includes every
+# smoke gate and the fuzz-fixture replay (dune rules, see bin/dune)
 check:
 	dune build
 	dune runtest
-	$(MAKE) sched-smoke
-	$(MAKE) profiler-smoke
-	$(MAKE) chaos-smoke
-	$(MAKE) slo-smoke
-	$(MAKE) translate-smoke
-	$(MAKE) ring-smoke
-	$(MAKE) fuzz-smoke
-	$(MAKE) fuzz-fixtures
 
 test: check
 
@@ -49,85 +36,6 @@ bench-gate:
 	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
 	dune exec bench/main.exe -- $(BENCH_GATE_FIGS) --json-out $$d > /dev/null; \
 	dune exec bin/benchdiff.exe -- --baseline bench/baselines --fresh $$d $(BENCH_GATE_FIGS)
-
-# multi-core scheduler smoke: run the fig12 core-scaling sweep on 4
-# simulated cores with telemetry, dump the Chrome trace, validate it
-sched-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bench/main.exe -- fig12 --cores 4 --telemetry --trace-json $$d/sched.json > /dev/null; \
-	dune exec bin/wasprun.exe -- --check-trace $$d/sched.json
-
-# profiler/replay smoke: profile one recursive-fib invocation while
-# recording it, then replay the recording and require zero cycle
-# divergence (the exit status of --replay enforces it)
-profiler-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --profile --profile-folded $$d/fib.folded --record $$d/fib.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/fib.vxr
-
-# chaos smoke: record an invocation under the default fault plan, then
-# replay it; --replay re-arms the recorded plan and requires zero
-# divergence, injections included
-chaos-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --chaos --record $$d/chaos.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/chaos.vxr
-
-# SLO smoke: run the chaos burn-rate arm and require that at least one
-# alert fired during the storm AND everything recovered afterwards
-slo-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bench/main.exe -- chaos_slo > $$d/slo.txt; \
-	grep -E 'SLO-SMOKE: alerts_fired=[1-9][0-9]* .* recovered=yes' $$d/slo.txt \
-	  || { echo "slo-smoke: alert did not fire or did not recover:"; cat $$d/slo.txt; exit 1; }
-
-# translation smoke: a recording made under the translator must replay
-# with zero divergence on BOTH engines (the .vxr format is engine-blind),
-# and the engine-ablation bench must report zero architectural
-# divergence at a double-digit wall-clock speedup
-translate-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --example --record $$d/tr.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/tr.vxr --no-translate; \
-	dune exec bin/wasprun.exe -- --replay $$d/tr.vxr; \
-	dune exec bench/main.exe -- translate > $$d/tr.txt; \
-	grep -E 'TRANSLATE-SMOKE: divergence=0 speedup=[0-9]{2,}x' $$d/tr.txt \
-	  || { echo "translate-smoke: engines diverged or speedup below 10x:"; cat $$d/tr.txt; exit 1; }
-
-# ring smoke: record one request through the ringed file server (two
-# exits: read + ring_enter doorbell), then replay the .vxr on BOTH
-# engines — the replay rebuilds the host environment (corpus + pending
-# request) from the image name and must diverge by zero cycles
-ring-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/wasprun.exe -- --vhttp --record $$d/ring.vxr; \
-	dune exec bin/wasprun.exe -- --replay $$d/ring.vxr --no-translate; \
-	dune exec bin/wasprun.exe -- --replay $$d/ring.vxr
-
-# fuzz smoke: a fixed-iteration campaign must be clean AND byte-identical
-# across two same-seed runs, and the differential oracle must catch both
-# planted harness canaries (a reverted shift-mask guard emulated in a
-# harness arm, and a one-cycle translator skew) within the same budget
-fuzz-smoke:
-	@set -eu; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT INT TERM; \
-	dune exec bin/fuzz_cli.exe -- --iters 25 --seed 0xF022 > $$d/a.txt; \
-	dune exec bin/fuzz_cli.exe -- --iters 25 --seed 0xF022 > $$d/b.txt; \
-	cmp $$d/a.txt $$d/b.txt \
-	  || { echo "fuzz-smoke: same-seed campaigns diverged"; diff $$d/a.txt $$d/b.txt; exit 1; }; \
-	grep -E 'FUZZ: iters=25 corpus=[0-9]+ coverage_bits=[0-9]+ findings=0' $$d/a.txt \
-	  || { echo "fuzz-smoke: campaign not clean:"; cat $$d/a.txt; exit 1; }; \
-	dune exec bin/fuzz_cli.exe -- --iters 5 --seed 3 --canary shift-mask \
-	  --expect-finding canary-divergence > $$d/c1.txt \
-	  || { echo "fuzz-smoke: shift-mask canary missed:"; cat $$d/c1.txt; exit 1; }; \
-	dune exec bin/fuzz_cli.exe -- --iters 5 --seed 3 --canary cycle-skew \
-	  --expect-finding canary-divergence > $$d/c2.txt \
-	  || { echo "fuzz-smoke: cycle-skew canary missed:"; cat $$d/c2.txt; exit 1; }; \
-	grep -h 'FUZZ-SMOKE' $$d/c1.txt $$d/c2.txt
-
-# replay every committed reproducer on BOTH engines and require
-# byte-identical recordings (CI runs this on every PR)
-fuzz-fixtures:
-	dune exec bin/fuzz_cli.exe -- --check-fixtures test/fixtures
 
 # the nightly lane: a time-boxed campaign with a persistent corpus
 # (FUZZ_BUDGET CPU-seconds, FUZZ_CORPUS carried across nights by CI)

@@ -7,7 +7,8 @@
    retired instructions, simulated cycles per engine, the divergence
    count, translated superblock counts. Wall-clock speedup depends on
    the host machine, so it is printed as an ungated note plus the
-   TRANSLATE-SMOKE marker line that `make translate-smoke` greps. *)
+   TRANSLATE-SMOKE marker line that the translate smoke in bin/dune
+   greps. *)
 
 let origin = 0x8000
 

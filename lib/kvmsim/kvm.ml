@@ -9,7 +9,7 @@ type system = {
       (* vCPU inside KVM_RUN right now: EPT violations taken from guest
          stores are stamped with its PC in the flight ring *)
   mutable plan : Cycles.Fault_plan.t option;
-  mutable translate : bool;
+  translate : bool;
       (* execute guests through the superblock translation cache; off =
          pure interpreter. Cycle-identical either way. *)
   mutable probes : Vtrace.Engine.t option;
@@ -52,13 +52,6 @@ type vm = { sys : system; mutable memory : Vm.Memory.t option }
 
 type vcpu = { parent : vm; cpu : Vm.Cpu.t; trans : Vm.Translate.t }
 
-type run_exit =
-  | Hlt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int; reg : Instr.reg }
-  | Fault of Vm.Cpu.fault
-  | Out_of_fuel
-
 let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
   if cores < 1 then invalid_arg "Kvm.open_dev: cores must be >= 1";
   {
@@ -86,9 +79,6 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
     block_probe = None;
     exit_reasons = Hashtbl.create 8;
   }
-
-let set_translate sys on = sys.translate <- on
-let translate_enabled sys = sys.translate
 
 let clock sys = sys.clocks.(sys.cur)
 let cores sys = Array.length sys.clocks
@@ -411,27 +401,21 @@ let run ?fuel v =
         charge sys Cycles.Costs.vmexit;
         exit)
   in
-  match exit with
-  | Vm.Cpu.Halt ->
-      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "hlt";
-      Hlt
-  | Vm.Cpu.Io_out { port; value } ->
-      (match sys.hc_port with
+  (match exit with
+  | Vm.Cpu.Halt -> emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "hlt"
+  | Vm.Cpu.Io_out { port; value } -> (
+      match sys.hc_port with
       | Some p when p = port ->
           emit_exit sys v ~t0 ~fuel ~port ~value ~nr:value ~detail:"" "hypercall"
-      | _ -> emit_exit sys v ~t0 ~fuel ~port ~value ~nr:(Int64.of_int port) ~detail:"" "io_out");
-      Io_out { port; value }
-  | Vm.Cpu.Io_in { port; reg } ->
-      emit_exit sys v ~t0 ~fuel ~port ~value:0L ~nr:(Int64.of_int port) ~detail:"" "io_in";
-      Io_in { port; reg }
-  | Vm.Cpu.Fault f ->
+      | _ -> emit_exit sys v ~t0 ~fuel ~port ~value ~nr:(Int64.of_int port) ~detail:"" "io_out")
+  | Vm.Cpu.Io_in { port; reg = _ } ->
+      emit_exit sys v ~t0 ~fuel ~port ~value:0L ~nr:(Int64.of_int port) ~detail:"" "io_in"
+  | Vm.Cpu.Fault _ ->
       emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L
-        ~detail:(Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f))
-        "fault";
-      Fault f
-  | Vm.Cpu.Out_of_fuel ->
-      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "fuel";
-      Out_of_fuel
+        ~detail:(Format.asprintf "%a" Vm.Cpu.pp_exit exit)
+        "fault"
+  | Vm.Cpu.Out_of_fuel -> emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "fuel");
+  exit
 
 (* Background shell construction for the pool's pipelined prewarm: the
    same VM + memory + vCPU assembly as the charged path, but with no

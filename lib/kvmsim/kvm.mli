@@ -14,13 +14,6 @@ type system
 type vm
 type vcpu
 
-type run_exit =
-  | Hlt
-  | Io_out of { port : int; value : int64 }
-  | Io_in of { port : int; reg : Instr.reg }
-  | Fault of Vm.Cpu.fault
-  | Out_of_fuel
-
 type stats = {
   mutable vm_creations : int;
   mutable vcpu_creations : int;
@@ -50,7 +43,7 @@ exception Injected_failure of string
     - {!site_ept_storm}: one opportunity per {!run}; a fire charges a
       burst of 8 no-progress EPT violations.
     - {!site_guest_hang}: one opportunity per {!run}; a fire burns the
-      caller's entire fuel budget and returns {!Out_of_fuel} without
+      caller's entire fuel budget and returns [Vm.Cpu.Out_of_fuel] without
       executing the guest.
     - {!site_provision_fail}: one opportunity per {!create_vm}; a fire
       raises {!Injected_failure} after charging the failed ioctl's
@@ -98,12 +91,6 @@ val open_dev :
     {!set_core}). [translate] (default [true]) executes guests through
     the {!Vm.Translate} superblock cache; either way the simulated
     cycle counts are bit-for-bit identical, only wall-clock differs. *)
-
-val set_translate : system -> bool -> unit
-(** Toggle binary translation for subsequent {!run} calls (replay
-    tooling compares engines this way). *)
-
-val translate_enabled : system -> bool
 
 val clock : system -> Cycles.Clock.t
 (** The current core's clock (core 0 until {!set_core} is called). *)
@@ -219,7 +206,7 @@ val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
 (** Clear architectural state for shell reuse and drop the vCPU's
     translated blocks; memory is untouched. *)
 
-val run : ?fuel:int -> vcpu -> run_exit
+val run : ?fuel:int -> vcpu -> Vm.Cpu.exit_reason
 (** The [KVM_RUN] ioctl: charges syscall entry, in-kernel checks and VM
     entry; executes the guest until it exits; charges VM exit and the
     return to user space. Resumable after I/O exits. Each return also

@@ -23,7 +23,6 @@ type t = {
   snapshot_store : Snapshot_store.t;
   hostenv : Hostenv.t;
   boot_rng : Cycles.Rng.t;
-  mutable tracer : Trace.t option;
   mutable profiler : Profiler.Profile.t option;
   mutable recorder : Profiler.Replay.t option;
   mutable last_flight : string option;
@@ -53,7 +52,6 @@ let create ?(seed = 0xACE) ?freq_ghz ?(pool = true) ?(clean = `Sync) ?(reset = `
     snapshot_store = Snapshot_store.create ?capacity:snapshot_capacity sys;
     hostenv = Hostenv.create ();
     boot_rng = Cycles.Rng.split (Kvmsim.Kvm.rng sys);
-    tracer = None;
     profiler = None;
     recorder = None;
     last_flight = None;
@@ -91,9 +89,7 @@ let drop_snapshot t ~key = Snapshot_store.clear t.snapshot_store ~key
 
 let stats t = t.run_stats
 
-let set_telemetry t hub =
-  Kvmsim.Kvm.set_telemetry t.sys hub;
-  match t.tracer with Some tr -> Trace.mirror tr hub | None -> ()
+let set_telemetry t hub = Kvmsim.Kvm.set_telemetry t.sys hub
 
 let telemetry t = Kvmsim.Kvm.telemetry t.sys
 
@@ -139,41 +135,6 @@ let emit_event t site ~reason ~cycles ~nr =
         nr = Int64.of_int nr;
       }
 
-let record_result t (outcome_kind : [ `Exited | `Faulted | `Fuel ]) ~hypercalls ~denied
-    ~from_snapshot =
-  let s = t.run_stats in
-  s.invocations <- s.invocations + 1;
-  tincr t "wasp_invocations_total";
-  (match outcome_kind with
-  | `Exited ->
-      s.exited <- s.exited + 1;
-      tincr t "wasp_exited_total"
-  | `Faulted ->
-      s.faulted <- s.faulted + 1;
-      tincr t "wasp_faulted_total"
-  | `Fuel ->
-      s.fuel_exhausted <- s.fuel_exhausted + 1;
-      tincr t "wasp_fuel_exhausted_total");
-  s.hypercalls <- s.hypercalls + hypercalls;
-  s.denied <- s.denied + denied;
-  tincr t ~by:hypercalls "wasp_hypercalls_total";
-  tincr t ~by:denied "wasp_denied_hypercalls_total";
-  if from_snapshot then begin
-    s.snapshot_restores <- s.snapshot_restores + 1;
-    tincr t "wasp_snapshot_restores_total"
-  end
-
-let set_trace t tr =
-  (match tr with
-  | Some tr ->
-      Trace.attach_clock tr (clock t);
-      Trace.mirror tr (telemetry t)
-  | None -> ());
-  t.tracer <- tr
-
-let trace t = t.tracer
-let emit t e = match t.tracer with Some tr -> Trace.record tr e | None -> ()
-
 type outcome = Exited of int64 | Faulted of Vm.Cpu.fault | Fuel_exhausted
 
 type result = {
@@ -190,6 +151,29 @@ type result = {
 }
 
 let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
+
+let record_result t outcome ~hypercalls ~denied ~from_snapshot =
+  let s = t.run_stats in
+  s.invocations <- s.invocations + 1;
+  tincr t "wasp_invocations_total";
+  (match outcome with
+  | Exited _ ->
+      s.exited <- s.exited + 1;
+      tincr t "wasp_exited_total"
+  | Faulted _ ->
+      s.faulted <- s.faulted + 1;
+      tincr t "wasp_faulted_total"
+  | Fuel_exhausted ->
+      s.fuel_exhausted <- s.fuel_exhausted + 1;
+      tincr t "wasp_fuel_exhausted_total");
+  s.hypercalls <- s.hypercalls + hypercalls;
+  s.denied <- s.denied + denied;
+  tincr t ~by:hypercalls "wasp_hypercalls_total";
+  tincr t ~by:denied "wasp_denied_hypercalls_total";
+  if from_snapshot then begin
+    s.snapshot_restores <- s.snapshot_restores + 1;
+    tincr t "wasp_snapshot_restores_total"
+  end
 
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
    gauges charge no cycles). *)
@@ -248,7 +232,6 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
   tspan t ~args:[ ("nr", Hc.name nr); ("allowed", string_of_bool allowed) ] "hypercall"
     (fun () ->
       inv.hypercalls <- inv.hypercalls + 1;
-      emit t (Trace.Hypercall { nr; allowed });
       (* "hypercall" / "hypercall_ret" events bracket the dispatch: the
          return carries the handler's charged cycles. *)
       emit_event t Hypercall ~reason:(Hc.name nr) ~cycles:0L ~nr;
@@ -475,16 +458,38 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
       Drain_done (Int64.of_int !completed)
     end
 
-(* The invocation body. Every charged cycle between [start] and the end
-   of the [clean] phase falls inside exactly one phase span (provision,
-   image_load/boot or snapshot_restore, marshal, execute, clean) and the
-   virtual clock only moves when charged, so the depth-1 phase durations
-   tile the invocation: they sum exactly to the reported [cycles]. *)
-let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel
-    ~inspect =
+(* Snapshot capture, the [snapshot] hypercall of both payload kinds:
+   publish the guest's pages under the key, then write-protect the
+   footprint and build the shared EPT — per-page PTE work, not a byte
+   copy. *)
+let capture_snapshot t ~snapshot_key ~mem ~cpu ~native_state =
+  match snapshot_key with
+  | None -> Hc.err_inval
+  | Some key ->
+      tspan t ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
+          let footprint =
+            Snapshot_store.capture t.snapshot_store ~key ~mem ~cpu ~native_state
+          in
+          charge t
+            (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
+            * Cycles.Costs.ept_map_page);
+          0L)
+
+(* The invocation lifecycle, shared by images and native payloads:
+   provision a shell (the retained CoW shell for [snapshot_key], else
+   the pool), restore the snapshot or run [load] and boot, hand the
+   shell to [execute], then clean, account and build the result.
+   [execute] gets the restored snapshot entry ([None] after a boot) and
+   returns the invocation state, the outcome and r0. Every charged cycle
+   between [start] and the end of the [clean] phase falls inside exactly
+   one phase span (provision, image_load/boot or snapshot_restore, then
+   the payload's marshal/execute, clean) and the virtual clock only
+   moves when charged, so the depth-1 phase durations tile the
+   invocation: they sum exactly to the reported [cycles]. *)
+let invoke t ~name ~mem_size ~mode ~snapshot_key ~load ~execute =
   (* Probe contexts fired below Wasp (KVM exits, EPT breaks) do not know
-     the image; give the engine the name so their [fn] field resolves. *)
-  Option.iter (fun e -> Vtrace.Engine.set_fn e image.name) (probes t);
+     the payload; give the engine the name so their [fn] field resolves. *)
+  Option.iter (fun e -> Vtrace.Engine.set_fn e name) (probes t);
   (* CoW mode retains one shell per snapshot key across invocations; a
      retained shell pins the invocation to its home core (its vCPU bills
      that core's clock), so switch before stamping [start] *)
@@ -502,94 +507,85 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
     tspan t "provision" (fun () ->
         match retained_shell with
         | Some s -> (s, true)
-        | None -> acquire_shell t ~mem_size:image.mem_size ~mode:image.mode)
+        | None -> acquire_shell t ~mem_size ~mode)
   in
-  emit t (Trace.Provisioned { from_pool; mem_size = image.mem_size });
   let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
   let mem = shell.mem in
-  (* Load image or restore snapshot. *)
   let snapshot_entry =
     match snapshot_key with
     | Some key -> Snapshot_store.find t.snapshot_store ~key
     | None -> None
   in
-  let from_snapshot = snapshot_entry <> None in
-  (match snapshot_entry with
-  | Some entry when retained_shell <> None ->
-      tspan t
-        ~args:[ ("key", Option.value ~default:"?" snapshot_key); ("kind", "cow") ]
-        "snapshot_restore"
-        (fun () ->
-          (* SEUSS-style reset: only the dirty pages are rewritten *)
-          let pages, bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
-          emit t
-            (Trace.Snapshot_restored
-               { key = Option.value ~default:"?" snapshot_key; bytes });
-          (* reference swaps, one minor fault's worth of fixup per page —
-             the copies were already paid for by the CoW breaks during the
-             dirtying run *)
-          charge t (pages * Cycles.Costs.cow_page_fault))
-  | Some entry ->
-      let kind = match t.reset with `Memcpy -> "memcpy" | `Cow -> "lazy" in
-      tspan t
-        ~args:[ ("key", Option.value ~default:"?" snapshot_key); ("kind", kind) ]
-        "snapshot_restore"
-        (fun () ->
-          let footprint =
-            Snapshot_store.restore ~eager:(t.reset = `Memcpy) entry ~mem ~cpu
-          in
-          emit t
-            (Trace.Snapshot_restored
-               { key = Option.value ~default:"?" snapshot_key; bytes = footprint });
-          match t.reset with
-          | `Memcpy ->
+  (match (snapshot_entry, snapshot_key) with
+  | Some entry, Some key ->
+      let kind =
+        match (retained_shell, t.reset) with
+        | Some _, _ -> "cow"
+        | None, `Memcpy -> "memcpy"
+        | None, `Cow -> "lazy"
+      in
+      tspan t ~args:[ ("key", key); ("kind", kind) ] "snapshot_restore" (fun () ->
+          match (retained_shell, t.reset) with
+          | Some _, _ ->
+              (* SEUSS-style reset: only the dirty pages are rewritten —
+                 reference swaps, one minor fault's worth of fixup per
+                 page; the copies were already paid for by the CoW
+                 breaks during the dirtying run *)
+              let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
+              charge t (pages * Cycles.Costs.cow_page_fault)
+          | None, `Memcpy ->
               (* the paper's eager restore: the cost is exactly the copy *)
-              charge t (Cycles.Costs.memcpy_cost footprint)
-          | `Cow ->
+              charge t
+                (Cycles.Costs.memcpy_cost (Snapshot_store.restore ~eager:true entry ~mem ~cpu))
+          | None, `Cow ->
               (* repoint the vCPU at the snapshot's pre-built EPT root:
                  O(1), independent of image size — pages fault in lazily *)
+              ignore (Snapshot_store.restore ~eager:false entry ~mem ~cpu : int);
               charge t Cycles.Costs.ept_root_swap)
-  | None ->
-      tspan t ~args:[ ("image", image.name) ] "image_load" (fun () ->
-          Vm.Memory.write_bytes mem ~off:image.origin image.code;
-          (* Recording: verify the image through the guest's logical page
-             view, so the .vxr MD5 guards what the guest will actually
-             read regardless of the page representation underneath. *)
-          (match t.recorder with
-          | Some rc ->
-              let view =
-                Vm.Memory.read_bytes mem ~off:image.origin ~len:(Bytes.length image.code)
-              in
-              if not (Profiler.Replay.image_matches rc view) then
-                invalid_arg "Runtime.run: loaded image diverges from the recorded bytes"
-          | None -> ());
-          emit t (Trace.Image_loaded { name = image.name; bytes = Bytes.length image.code });
-          charge t (Cycles.Costs.memcpy_cost (Bytes.length image.code)));
-      tspan t ~args:[ ("mode", Vm.Modes.to_string image.mode) ] "boot" (fun () ->
+  | _ ->
+      load mem;
+      tspan t ~args:[ ("mode", Vm.Modes.to_string mode) ] "boot" (fun () ->
           let boot_start = Cycles.Clock.now (clock t) in
           let _components =
-            Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:image.mode
+            Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode
           in
           tobserve t
-            ("wasp_boot_cycles_" ^ Vm.Modes.to_string image.mode)
-            (Cycles.Clock.elapsed_since (clock t) boot_start);
-          emit t (Trace.Booted { mode = image.mode });
-          Vm.Cpu.set_pc cpu image.entry;
-          Vm.Cpu.set_sp cpu Layout.stack_top));
-  (* Fault plan: a restore can hand back a corrupted snapshot. The page
-     under the restored PC is stomped with an invalid-opcode pattern
-     (0xFF never decodes), so the guest faults deterministically at its
-     first fetch — same plan, same fault, cycle for cycle. *)
-  (match snapshot_entry with
-  | Some _ when Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt ->
-      let page_size = Vm.Memory.page_size in
-      let off = Vm.Cpu.pc cpu / page_size * page_size in
-      let len = min page_size (Vm.Memory.size mem - off) in
-      if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
-  | Some _ | None -> ());
-  (* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
-     loaded into the virtine's address space at address 0x0"). *)
-  let input_bytes =
+            ("wasp_boot_cycles_" ^ Vm.Modes.to_string mode)
+            (Cycles.Clock.elapsed_since (clock t) boot_start)));
+  let (inv : Inv.t), outcome, return_value = execute shell snapshot_entry in
+  tspan t "clean" (fun () ->
+      note_mem_gauges t mem;
+      match (t.reset, snapshot_key) with
+      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
+          (* keep the dirty shell for the next CoW reset; no cleaning *)
+          Hashtbl.replace t.retained key shell
+      | (`Cow | `Memcpy), _ -> release_shell t shell);
+  let cycles = Cycles.Clock.elapsed_since (clock t) start in
+  let from_snapshot = snapshot_entry <> None in
+  record_result t outcome ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
+  tobserve t "wasp_invocation_cycles" cycles;
+  {
+    outcome;
+    return_value;
+    output = inv.output;
+    console = Buffer.contents inv.console;
+    cycles;
+    hypercalls = inv.hypercalls;
+    denied = inv.denied;
+    pointer_violations = inv.pointer_violations;
+    from_snapshot;
+    from_pool;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Images                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Marshal arguments at guest address 0 (§6.1: "the argument, n, is
+   loaded into the virtine's address space at address 0x0"). Checked
+   before anything is provisioned, so a rejected call costs nothing. *)
+let marshal_input ~input ~args =
+  let b =
     match (input, args) with
     | Some b, [] -> b
     | None, [] -> Bytes.empty
@@ -599,46 +595,54 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
         b
     | Some _, _ :: _ -> invalid_arg "Runtime.run: pass either ~input or ~args, not both"
   in
+  if Bytes.length b > Layout.arg_area_size then
+    invalid_arg "Runtime.run: input exceeds the argument area";
+  b
+
+(* The image's side of the lifecycle, after boot or restore: arguments,
+   the KVM_RUN loop servicing hypercalls, and the post-mortem. [exits]
+   counts KVM_RUN entries. *)
+let execute_image t (image : Image.t) ~policy ~handlers ~input_bytes ~conn ~snapshot_key
+    ~fuel ~inspect ~exits (shell : Pool.shell) snapshot_entry =
+  let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
+  let mem = shell.mem in
+  (match snapshot_entry with
+  | None ->
+      Vm.Cpu.set_pc cpu image.entry;
+      Vm.Cpu.set_sp cpu Layout.stack_top
+  | Some _ when Kvmsim.Kvm.plan_fires t.sys Kvmsim.Kvm.site_snapshot_corrupt ->
+      (* Fault plan: a restore can hand back a corrupted snapshot. The
+         page under the restored PC is stomped with an invalid-opcode
+         pattern (0xFF never decodes), so the guest faults
+         deterministically at its first fetch — same plan, same fault,
+         cycle for cycle. *)
+      let page_size = Vm.Memory.page_size in
+      let off = Vm.Cpu.pc cpu / page_size * page_size in
+      let len = min page_size (Vm.Memory.size mem - off) in
+      if len > 0 then Vm.Memory.write_bytes mem ~off (Bytes.make len '\xff')
+  | Some _ -> ());
   let inv =
     tspan t "marshal" (fun () ->
         if Bytes.length input_bytes > 0 then begin
-          if Bytes.length input_bytes > Layout.arg_area_size then
-            invalid_arg "Runtime.run: input exceeds the argument area";
           Vm.Memory.write_bytes mem ~off:Layout.arg_area input_bytes;
           charge t (Cycles.Costs.memcpy_cost (Bytes.length input_bytes))
         end;
         Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn
           ~input:input_bytes ~heap_brk:(Image.footprint image) ())
   in
-  let take_snapshot () =
-    match snapshot_key with
-    | None -> Hc.err_inval
-    | Some key ->
-        tspan t ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
-            let footprint =
-              Snapshot_store.capture t.snapshot_store ~key ~mem ~cpu ~native_state:None
-            in
-            emit t (Trace.Snapshot_captured { key; bytes = footprint });
-            (* write-protect the footprint and build the shared EPT:
-               per-page PTE work, not a byte copy *)
-            charge t
-              (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
-              * Cycles.Costs.ept_map_page);
-            0L)
-  in
+  let take_snapshot () = capture_snapshot t ~snapshot_key ~mem ~cpu ~native_state:None in
   (* The VM loop: KVM_RUN until the virtine exits, servicing hypercalls. *)
   let retired_at_start = Vm.Cpu.instructions_retired cpu in
   let fuel_left () =
     fuel - Int64.to_int (Int64.sub (Vm.Cpu.instructions_retired cpu) retired_at_start)
   in
-  let exits = ref 0 in
   let rec loop () =
     if fuel_left () <= 0 then Fuel_exhausted
     else begin
       incr exits;
       match Kvmsim.Kvm.run ~fuel:(fuel_left ()) shell.vcpu with
-      | Kvmsim.Kvm.Hlt -> Exited (Vm.Cpu.get_reg cpu 0)
-      | Kvmsim.Kvm.Io_out { port; value } when
+      | Vm.Cpu.Halt -> Exited (Vm.Cpu.get_reg cpu 0)
+      | Vm.Cpu.Io_out { port; value } when
           port = Hc.port && Int64.to_int value = Hc.ring_enter -> (
           (* The batching doorbell: one exit drains the whole ring. *)
           match drain_ring t ~policy ~handlers ~inv ~take_snapshot ~cpu ~mem ~fuel_left with
@@ -646,7 +650,7 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
           | Drain_done r0 -> (
               Vm.Cpu.set_reg cpu 0 r0;
               match inv.exit_code with Some code -> Exited code | None -> loop ()))
-      | Kvmsim.Kvm.Io_out { port; value } ->
+      | Vm.Cpu.Io_out { port; value } ->
           if port = Hc.port then begin
             let nr = Int64.to_int value in
             let args = Array.init 5 (fun i -> Vm.Cpu.get_reg cpu (i + 1)) in
@@ -680,11 +684,11 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
             Vm.Cpu.set_reg cpu 0 Hc.err_denied;
             loop ()
           end
-      | Kvmsim.Kvm.Io_in { port = _; reg } ->
+      | Vm.Cpu.Io_in { port = _; reg } ->
           Vm.Cpu.set_reg cpu reg 0L;
           loop ()
-      | Kvmsim.Kvm.Fault f -> Faulted f
-      | Kvmsim.Kvm.Out_of_fuel -> Fuel_exhausted
+      | Vm.Cpu.Fault f -> Faulted f
+      | Vm.Cpu.Out_of_fuel -> Fuel_exhausted
     end
   in
   let exec_start = Cycles.Clock.now (clock t) in
@@ -751,39 +755,39 @@ let run_inner t (image : Image.t) ~policy ~handlers ~input ~args ~conn ~snapshot
   let return_value =
     match outcome with Exited v -> v | Faulted _ | Fuel_exhausted -> Vm.Cpu.get_reg cpu 0
   in
-  tspan t "clean" (fun () ->
-      note_mem_gauges t mem;
-      match (t.reset, snapshot_key) with
-      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
-          (* keep the dirty shell for the next CoW reset; no cleaning *)
-          Hashtbl.replace t.retained key shell
-      | (`Cow | `Memcpy), _ -> release_shell t shell);
-  let cycles = Cycles.Clock.elapsed_since (clock t) start in
-  emit t
-    (Trace.Finished
-       { exited = (match outcome with Exited _ -> true | _ -> false); cycles });
-  record_result t
-    (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
-    ~hypercalls:inv.hypercalls ~denied:inv.denied ~from_snapshot;
-  tobserve t "wasp_invocation_cycles" cycles;
-  tobserve t "kvm_exits_per_invocation" (Int64.of_int !exits);
-  {
-    outcome;
-    return_value;
-    output = inv.output;
-    console = Buffer.contents inv.console;
-    cycles;
-    hypercalls = inv.hypercalls;
-    denied = inv.denied;
-    pointer_violations = inv.pointer_violations;
-    from_snapshot;
-    from_pool;
-  }
+  (inv, outcome, return_value)
+
+(* Image load, before boot on the cold path. Recording: verify the image
+   through the guest's logical page view, so the .vxr MD5 guards what the
+   guest will actually read regardless of the page representation
+   underneath. *)
+let load_image t (image : Image.t) mem =
+  tspan t ~args:[ ("image", image.name) ] "image_load" (fun () ->
+      Vm.Memory.write_bytes mem ~off:image.origin image.code;
+      (match t.recorder with
+      | Some rc ->
+          let view =
+            Vm.Memory.read_bytes mem ~off:image.origin ~len:(Bytes.length image.code)
+          in
+          if not (Profiler.Replay.image_matches rc view) then
+            invalid_arg "Runtime.run: loaded image diverges from the recorded bytes"
+      | None -> ());
+      charge t (Cycles.Costs.memcpy_cost (Bytes.length image.code)))
 
 let run t (image : Image.t) ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?input
     ?(args = []) ?conn ?snapshot_key ?(fuel = 50_000_000) ?inspect () =
+  let input_bytes = marshal_input ~input ~args in
   tspan t ~args:[ ("image", image.name) ] "invocation" (fun () ->
-      run_inner t image ~policy ~handlers ~input ~args ~conn ~snapshot_key ~fuel ~inspect)
+      let exits = ref 0 in
+      let r =
+        invoke t ~name:image.name ~mem_size:image.mem_size ~mode:image.mode ~snapshot_key
+          ~load:(load_image t image)
+          ~execute:
+            (execute_image t image ~policy ~handlers ~input_bytes ~conn ~snapshot_key ~fuel
+               ~inspect ~exits)
+      in
+      tobserve t "kvm_exits_per_invocation" (Int64.of_int !exits);
+      r)
 
 (* ------------------------------------------------------------------ *)
 (* Native payloads                                                     *)
@@ -793,10 +797,10 @@ module Native_ctx = struct
   type ctx = {
     runtime : t;
     inv : Inv.t;
+    cpu : Vm.Cpu.t;
     policy : Policy.t;
     handlers : int -> Inv.handler option;
     snapshot_key : string option;
-    shell : Pool.shell;
     mutable snapshot_factory : (unit -> Univ.t) option;
   }
 
@@ -808,32 +812,21 @@ module Native_ctx = struct
     let inv = c.inv in
     let aligned = (size + 7) land lnot 7 in
     let addr = inv.Inv.heap_brk in
-    if addr + aligned > Vm.Memory.size inv.Inv.mem then raise Out_of_memory;
+    if addr + aligned > Vm.Memory.size inv.Inv.mem then
+      raise (Vm.Memory.Fault { addr; size = aligned });
     inv.Inv.heap_brk <- addr + aligned;
     addr
 
   let offer_snapshot_state c factory = c.snapshot_factory <- Some factory
 
-  let take_snapshot_of c () =
-    match c.snapshot_key with
-    | None -> Hc.err_inval
-    | Some key ->
-        tspan c.runtime ~args:[ ("key", key) ] "snapshot_capture" (fun () ->
-            let cpu = Kvmsim.Kvm.vcpu_cpu c.shell.vcpu in
-            let footprint =
-              Snapshot_store.capture c.runtime.snapshot_store ~key ~mem:c.inv.Inv.mem ~cpu
-                ~native_state:c.snapshot_factory
-            in
-            charge c
-              (((footprint + Vm.Memory.page_size - 1) / Vm.Memory.page_size)
-              * Cycles.Costs.ept_map_page);
-            0L)
-
   let dispatch_one c nr args =
     let full_args = Array.make 5 0L in
     Array.blit args 0 full_args 0 (min (Array.length args) 5);
     dispatch c.runtime ~policy:c.policy ~handlers:c.handlers ~inv:c.inv
-      ~take_snapshot:(take_snapshot_of c) nr full_args
+      ~take_snapshot:(fun () ->
+        capture_snapshot c.runtime ~snapshot_key:c.snapshot_key ~mem:c.inv.Inv.mem
+          ~cpu:c.cpu ~native_state:c.snapshot_factory)
+      nr full_args
 
   let hypercall c nr args =
     (* Same crossing cost as an [out]-triggered exit. *)
@@ -858,120 +851,43 @@ module Native_ctx = struct
              rest
 end
 
-let run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-    ~body =
-  Option.iter (fun e -> Vtrace.Engine.set_fn e name) (probes t);
-  let retained_shell =
-    match (t.reset, snapshot_key) with
-    | `Cow, Some key -> Hashtbl.find_opt t.retained key
-    | (`Cow | `Memcpy), _ -> None
-  in
-  (match retained_shell with
-  | Some s when s.Pool.home <> Kvmsim.Kvm.current_core t.sys ->
-      Kvmsim.Kvm.set_core t.sys s.Pool.home
-  | Some _ | None -> ());
-  let start = Cycles.Clock.now (clock t) in
-  let shell, from_pool =
-    tspan t "provision" (fun () ->
-        match retained_shell with
-        | Some s -> (s, true)
-        | None -> acquire_shell t ~mem_size ~mode)
-  in
-  let cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu in
-  let mem = shell.mem in
-  let snapshot_entry =
-    match snapshot_key with
-    | Some key -> Snapshot_store.find t.snapshot_store ~key
-    | None -> None
-  in
-  let from_snapshot = snapshot_entry <> None in
-  let restored =
-    match snapshot_entry with
-    | Some entry ->
-        tspan t
-          ~args:[ ("key", Option.value ~default:"?" snapshot_key) ]
-          "snapshot_restore"
-          (fun () ->
-            (match retained_shell with
-            | Some _ ->
-                let pages, _bytes = Snapshot_store.restore_cow entry ~mem ~cpu in
-                charge t (pages * Cycles.Costs.cow_page_fault)
-            | None -> (
-                let eager = t.reset = `Memcpy in
-                let footprint = Snapshot_store.restore ~eager entry ~mem ~cpu in
-                match t.reset with
-                | `Memcpy -> charge t (Cycles.Costs.memcpy_cost footprint)
-                | `Cow -> charge t Cycles.Costs.ept_root_swap));
-            match entry.Snapshot_store.native_state with
-            | Some f -> Some (f ())
-            | None -> None)
-    | None ->
-        tspan t ~args:[ ("mode", Vm.Modes.to_string mode) ] "boot" (fun () ->
-            let boot_start = Cycles.Clock.now (clock t) in
-            let _components =
-              Vm.Boot.perform ~mem ~clock:(clock t) ~rng:t.boot_rng ~target:mode
-            in
-            tobserve t
-              ("wasp_boot_cycles_" ^ Vm.Modes.to_string mode)
-              (Cycles.Clock.elapsed_since (clock t) boot_start);
-            None)
-  in
-  let inv =
-    Inv.create ~mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn ~input
-      ~heap_brk:Layout.image_base ()
-  in
-  let ctx =
-    {
-      Native_ctx.runtime = t;
-      inv;
-      policy;
-      handlers;
-      snapshot_key;
-      shell;
-      snapshot_factory = None;
-    }
-  in
-  (* Restore the heap break past the snapshot's footprint so fresh
-     allocations do not clobber restored state. *)
-  (match snapshot_entry with
-  | Some entry -> inv.Inv.heap_brk <- max inv.Inv.heap_brk entry.Snapshot_store.footprint
-  | None -> ());
-  let outcome =
-    tspan t "execute" (fun () ->
-        match body ctx ~restored with
-        | rv -> (
-            match inv.Inv.exit_code with Some code -> Exited code | None -> Exited rv)
-        | exception Vm.Memory.Fault { addr; size } ->
-            Faulted (Vm.Cpu.Memory_oob { addr; size }))
-  in
-  tspan t "clean" (fun () ->
-      note_mem_gauges t mem;
-      match (t.reset, snapshot_key) with
-      | `Cow, Some key when Snapshot_store.find t.snapshot_store ~key <> None ->
-          Hashtbl.replace t.retained key shell
-      | (`Cow | `Memcpy), _ -> release_shell t shell);
-  let return_value = match outcome with Exited v -> v | _ -> 0L in
-  record_result t
-    (match outcome with Exited _ -> `Exited | Faulted _ -> `Faulted | Fuel_exhausted -> `Fuel)
-    ~hypercalls:inv.Inv.hypercalls ~denied:inv.Inv.denied ~from_snapshot;
-  let cycles = Cycles.Clock.elapsed_since (clock t) start in
-  tobserve t "wasp_invocation_cycles" cycles;
-  {
-    outcome;
-    return_value;
-    output = inv.Inv.output;
-    console = Buffer.contents inv.Inv.console;
-    cycles;
-    hypercalls = inv.Inv.hypercalls;
-    denied = inv.Inv.denied;
-    pointer_violations = inv.Inv.pointer_violations;
-    from_snapshot;
-    from_pool;
-  }
-
 let run_native t ~name ?(mem_size = Layout.default_mem_size) ?(mode = Vm.Modes.Long)
     ?(policy = Policy.deny_all) ?(handlers = no_overrides) ?(input = Bytes.empty) ?conn
     ?snapshot_key ~body () =
   tspan t ~args:[ ("payload", name) ] "invocation" (fun () ->
-      run_native_inner t ~name ~mem_size ~mode ~policy ~handlers ~input ~conn ~snapshot_key
-        ~body)
+      invoke t ~name ~mem_size ~mode ~snapshot_key ~load:ignore
+        ~execute:(fun (shell : Pool.shell) snapshot_entry ->
+          let restored =
+            match snapshot_entry with
+            | Some { Snapshot_store.native_state = Some f; _ } -> Some (f ())
+            | Some _ | None -> None
+          in
+          let inv =
+            Inv.create ~mem:shell.mem ~env:t.hostenv ~clock:(clock t) ~rng:(rng t) ?conn
+              ~input ~heap_brk:Layout.image_base ()
+          in
+          (* Restore the heap break past the snapshot's footprint so fresh
+             allocations do not clobber restored state. *)
+          (match snapshot_entry with
+          | Some entry -> inv.heap_brk <- max inv.heap_brk entry.Snapshot_store.footprint
+          | None -> ());
+          let ctx =
+            {
+              Native_ctx.runtime = t;
+              inv;
+              cpu = Kvmsim.Kvm.vcpu_cpu shell.vcpu;
+              policy;
+              handlers;
+              snapshot_key;
+              snapshot_factory = None;
+            }
+          in
+          let outcome =
+            tspan t "execute" (fun () ->
+                match body ctx ~restored with
+                | rv -> (
+                    match inv.exit_code with Some code -> Exited code | None -> Exited rv)
+                | exception Vm.Memory.Fault { addr; size } ->
+                    Faulted (Vm.Cpu.Memory_oob { addr; size }))
+          in
+          (inv, outcome, match outcome with Exited v -> v | Faulted _ | Fuel_exhausted -> 0L)))

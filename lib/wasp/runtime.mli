@@ -1,11 +1,26 @@
 (** The Wasp runtime: an embeddable micro-hypervisor for virtines (§5).
 
     A virtine client links against this library, registers host resources
-    (files, sockets) and invokes functions as virtines. Each invocation
-    provisions a hardware context (from the shell pool when warm), loads
-    the image or restores a snapshot, marshals arguments into the guest at
-    address 0, runs the guest, interposes on every hypercall under the
-    client's policy, and recycles the shell. *)
+    (files, sockets) and invokes functions as virtines.
+
+    Every invocation — a vx image ({!run}) or a native payload
+    ({!run_native}) — goes through one lifecycle, each stage a phase span
+    on the attached hub:
+
+    + [provision]: take the shell retained for the snapshot key ([`Cow]
+      reset) or one from the shell pool, creating it on a miss;
+    + [snapshot_restore] (args [key], [kind] = [cow] / [memcpy] /
+      [lazy]) when the key has a captured snapshot, otherwise the
+      payload's load ([image_load] for images) and [boot];
+    + the payload's own phases: [marshal] and [execute] for images (the
+      KVM_RUN loop), [execute] for native payloads (the host body) —
+      hypercalls from either are policy-checked [hypercall] spans (args
+      [nr], [allowed]), and the [snapshot] hypercall opens
+      [snapshot_capture];
+    + [clean]: recycle the shell (or retain it for the next CoW reset),
+      then count the outcome in {!stats} and the [wasp_*] metrics.
+
+    Only the payload's phases differ between the two kinds. *)
 
 type t
 
@@ -104,14 +119,6 @@ val stats : t -> run_stats
 (** Aggregate counters across every invocation this runtime has run
     (images and native payloads). *)
 
-val set_trace : t -> Trace.t option -> unit
-(** Attach (or detach) an event trace; subsequent invocations record
-    provisioning, loads/restores, hypercalls and exits into it. The trace
-    is stamped from this runtime's clock, and mirrors its events into the
-    attached telemetry hub, if any. *)
-
-val trace : t -> Trace.t option
-
 val set_telemetry : t -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub — it must have been created with
     this runtime's {!clock}. Once attached, every invocation opens a root
@@ -120,7 +127,7 @@ val set_telemetry : t -> Telemetry.Hub.t option -> unit
     nested [hypercall]/[snapshot_capture] spans, [clean]) whose depth-1
     durations sum exactly to the invocation's reported [cycles]; the hub
     is attached to the runtime's KVM system ({!kvm}), so every layer's
-    events, spans and gauges and an attached trace feed it; and the
+    events, spans and gauges feed it; and the
     [wasp_*] metrics (invocation counters, boot/invocation cycle
     histograms, pool gauges) are kept up to date. *)
 
@@ -229,7 +236,12 @@ val run :
       [snapshot] hypercall path and captures state; later runs restore it
       and skip boot.
     - [inspect] observes guest memory and registers after exit, before
-      the shell is cleaned (used by milestone experiments). *)
+      the shell is cleaned (used by milestone experiments).
+
+    Raises [Invalid_argument] when both [input] and [args] are given or
+    the input exceeds {!Layout.arg_area_size} — checked before anything
+    is provisioned, so a rejected call charges no cycles and takes no
+    shell. *)
 
 (** {1 Native-payload virtines}
 
@@ -250,7 +262,9 @@ module Native_ctx : sig
 
   val alloc : ctx -> int -> int
   (** Bump-allocate guest heap memory; returns a guest address.
-      Raises [Out_of_memory] if the region is exhausted. *)
+      Raises [Vm.Memory.Fault] if the region is exhausted — like any
+      guest memory fault escaping [body], the invocation then ends as
+      [Faulted (Memory_oob _)] and the shell is cleaned. *)
 
   val hypercall : ctx -> int -> int64 array -> int64
   (** Cross into the client: charges the full exit/entry round trip, then
@@ -283,4 +297,5 @@ val run_native :
   result
 (** Provision a shell, boot (or restore the snapshot, in which case
     [restored] carries the materialized state), run [body], and recycle
-    the shell. *)
+    the shell — the same lifecycle as {!run}. A [Vm.Memory.Fault]
+    raised by [body] ends the invocation as a contained guest fault. *)

@@ -52,71 +52,93 @@ let test_disasm_addresses_consecutive () =
   check lines
 
 (* ------------------------------------------------------------------ *)
-(* Tracing                                                              *)
+(* Tracing: the hub's phase and hypercall spans                         *)
 (* ------------------------------------------------------------------ *)
 
 let fib_image =
   Wasp.Image.of_asm_string ~name:"t-exit" "mov r0, 0\nmov r1, 7\nout 1, r0\nhlt"
 
+let traced ?reset () =
+  let w = R.create ?reset () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  (w, hub)
+
+let spans hub = Telemetry.Span.spans (Telemetry.Hub.spans hub)
+
+(* (nr, allowed) of every dispatched hypercall, in dispatch order *)
+let hypercalls hub =
+  List.filter_map
+    (fun (s : Telemetry.Span.span) ->
+      if s.name = "hypercall" then Some (List.assoc "nr" s.args, List.assoc "allowed" s.args)
+      else None)
+    (spans hub)
+
 let test_trace_records_lifecycle () =
-  let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
-  ignore (R.run w fib_image ());
-  let events = Wasp.Trace.events tr in
-  let has p = List.exists p events in
-  Alcotest.(check bool) "provisioned" true
-    (has (function Wasp.Trace.Provisioned _ -> true | _ -> false));
-  Alcotest.(check bool) "image loaded" true
-    (has (function Wasp.Trace.Image_loaded _ -> true | _ -> false));
-  Alcotest.(check bool) "booted" true
-    (has (function Wasp.Trace.Booted _ -> true | _ -> false));
-  Alcotest.(check bool) "exit hypercall" true
-    (has (function Wasp.Trace.Hypercall { nr; allowed = true } -> nr = Wasp.Hc.exit_ | _ -> false));
-  Alcotest.(check bool) "finished" true
-    (has (function Wasp.Trace.Finished { exited = true; _ } -> true | _ -> false))
+  let w, hub = traced () in
+  let r = R.run w fib_image () in
+  let names = List.map (fun (s : Telemetry.Span.span) -> s.name) (spans hub) in
+  List.iter
+    (fun phase -> Alcotest.(check bool) phase true (List.mem phase names))
+    [ "invocation"; "provision"; "image_load"; "boot"; "execute"; "clean" ];
+  Alcotest.(check (list (pair string string)))
+    "exit hypercall" [ (Wasp.Hc.name Wasp.Hc.exit_, "true") ] (hypercalls hub);
+  Alcotest.(check bool) "exited" true (match r.R.outcome with R.Exited _ -> true | _ -> false)
 
 let test_trace_denied_hypercall_visible () =
-  let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
+  let w, hub = traced () in
   let img =
     Wasp.Image.of_asm_string ~name:"t-open"
       "mov r0, 3\nmov r1, 0\nout 1, r0\nmov r0, 0\nmov r1, 0\nout 1, r0"
   in
   ignore (R.run w img ());
-  let hcs = Wasp.Trace.hypercalls tr in
-  Alcotest.(check bool) "open denied in trace" true
-    (List.mem (Wasp.Hc.open_, false) hcs)
+  Alcotest.(check bool) "open denied in spans" true
+    (List.mem (Wasp.Hc.name Wasp.Hc.open_, "false") (hypercalls hub))
 
-let test_trace_detach () =
-  let w = R.create () in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
-  ignore (R.run w fib_image ());
-  let n = Wasp.Trace.count tr in
-  R.set_trace w None;
-  ignore (R.run w fib_image ());
-  Alcotest.(check int) "no new events after detach" n (Wasp.Trace.count tr)
+(* The lifecycle phases (everything but the payload's own image_load,
+   marshal and execute) with their args, one list per invocation. *)
+let lifecycle_phases hub =
+  List.filter_map
+    (fun (s : Telemetry.Span.span) ->
+      if s.depth = 1 && List.mem s.name [ "provision"; "snapshot_restore"; "boot"; "clean" ]
+      then Some (s.name ^ String.concat "" (List.map (fun (k, v) -> " " ^ k ^ "=" ^ v) s.args))
+      else None)
+    (spans hub)
 
-let test_trace_ring_capacity () =
-  let tr = Wasp.Trace.create ~capacity:4 () in
-  for i = 1 to 20 do
-    Wasp.Trace.record tr (Wasp.Trace.Hypercall { nr = i; allowed = true })
-  done;
-  let events = Wasp.Trace.events tr in
-  Alcotest.(check int) "capped" 4 (List.length events);
-  (* newest retained *)
-  Alcotest.(check bool) "newest kept" true
-    (List.exists (function Wasp.Trace.Hypercall { nr = 20; _ } -> true | _ -> false) events)
-
-let test_trace_pp () =
-  let s =
-    Format.asprintf "%a" Wasp.Trace.pp_event
-      (Wasp.Trace.Hypercall { nr = Wasp.Hc.read; allowed = false })
-  in
-  Alcotest.(check bool) "names the hypercall" true (contains s "read");
-  Alcotest.(check bool) "says denied" true (contains s "denied")
+let test_trace_virtine_native_phases_agree () =
+  List.iter
+    (fun reset ->
+      let virtine =
+        let w, hub = traced ~reset () in
+        let img =
+          Wasp.Image.of_asm_string ~name:"snap" ~mode:Vm.Modes.Long
+            "mov r0, 6\nout 1, r0\nmov r0, 0\nmov r1, 7\nout 1, r0\nhlt"
+        in
+        for _ = 1 to 2 do
+          ignore (R.run w img ~policy:Wasp.Policy.allow_all ~snapshot_key:"k" ())
+        done;
+        lifecycle_phases hub
+      in
+      let native =
+        let w, hub = traced ~reset () in
+        for _ = 1 to 2 do
+          ignore
+            (R.run_native w ~name:"snap" ~policy:Wasp.Policy.allow_all ~snapshot_key:"k"
+               ~body:(fun ctx ~restored:_ ->
+                 ignore (R.Native_ctx.hypercall ctx Wasp.Hc.snapshot [||]);
+                 7L)
+               ())
+        done;
+        lifecycle_phases hub
+      in
+      let warm = match reset with `Memcpy -> "memcpy" | `Cow -> "cow" in
+      Alcotest.(check (list string))
+        ("virtine phases, " ^ warm)
+        [ "provision"; "boot mode=long"; "clean"; "provision";
+          "snapshot_restore key=k kind=" ^ warm; "clean" ]
+        virtine;
+      Alcotest.(check (list string)) ("native = virtine, " ^ warm) virtine native)
+    [ `Memcpy; `Cow ]
 
 (* ------------------------------------------------------------------ *)
 (* Futures (async virtines)                                             *)
@@ -214,6 +236,24 @@ let test_gateway_js_error_is_500 () =
   let r = Serverless.Gateway.handle g (post "/invoke/bad" "x") in
   Alcotest.(check int) "500" 500 (status_of r)
 
+(* A body too large for the payload's guest heap faults the invocation:
+   a 500, no host exception, and the shell goes back to the pool. *)
+let test_gateway_oversized_body_is_500 () =
+  let w = R.create ~clean:`Async () in
+  let g = Serverless.Gateway.create (Serverless.Vespid.create w) in
+  ignore
+    (Serverless.Gateway.handle g
+       (post "/register/b64?entry=encode" Vjs.Workload.base64_js_source));
+  Alcotest.(check int) "warm-up" 200 (status_of (Serverless.Gateway.handle g (post "/invoke/b64" "warm")));
+  let created = (R.pool_stats w).created in
+  let r = Serverless.Gateway.handle g (post "/invoke/b64" (String.make 60_000 'x')) in
+  Alcotest.(check int) "oversized body" 500 (status_of r);
+  Alcotest.(check int) "counted as a guest fault" 1 (R.stats w).faulted;
+  let r = Serverless.Gateway.handle g (post "/invoke/b64" "again") in
+  Alcotest.(check int) "next invoke" 200 (status_of r);
+  Alcotest.(check string) "next result" (Vcrypto.Base64.encode "again") (body_of r);
+  Alcotest.(check int) "shell reused, none leaked" created (R.pool_stats w).created
+
 let test_gateway_register_target_parsing () =
   Alcotest.(check (pair string string))
     "entry given" ("f", "go")
@@ -254,9 +294,8 @@ let () =
         [
           Alcotest.test_case "lifecycle events" `Quick test_trace_records_lifecycle;
           Alcotest.test_case "denied hypercalls" `Quick test_trace_denied_hypercall_visible;
-          Alcotest.test_case "detach" `Quick test_trace_detach;
-          Alcotest.test_case "ring capacity" `Quick test_trace_ring_capacity;
-          Alcotest.test_case "pretty printing" `Quick test_trace_pp;
+          Alcotest.test_case "virtine and native phases agree" `Quick
+            test_trace_virtine_native_phases_agree;
         ] );
       ( "future",
         [
@@ -270,6 +309,7 @@ let () =
           Alcotest.test_case "unknown function" `Quick test_gateway_unknown_function;
           Alcotest.test_case "list functions" `Quick test_gateway_list_functions;
           Alcotest.test_case "js error 500" `Quick test_gateway_js_error_is_500;
+          Alcotest.test_case "oversized body 500" `Quick test_gateway_oversized_body_is_500;
           Alcotest.test_case "register target parsing" `Quick
             test_gateway_register_target_parsing;
           Alcotest.test_case "bad requests" `Quick test_gateway_bad_requests;

@@ -182,21 +182,29 @@ let test_future_fan_out_fib () =
 (* ------------------------------------------------------------------ *)
 
 let test_trace_audit () =
-  (* run the file server under a trace and audit exactly which host
-     services the virtine touched -- the paper's interposition story *)
+  (* run the file server with a telemetry hub attached and audit exactly
+     which host services the virtine touched, from the ordered hypercall
+     spans -- the paper's interposition story *)
   let w = R.create () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
   let path = Vhttp.Fileserver.add_default_files (R.env w) in
   let compiled = Vhttp.Fileserver.compile ~snapshot:false in
-  let tr = Wasp.Trace.create () in
-  R.set_trace w (Some tr);
   ignore (Vhttp.Fileserver.serve_virtine w compiled ~path);
-  let used = List.filter_map (fun (nr, ok) -> if ok then Some nr else None)
-      (Wasp.Trace.hypercalls tr) in
-  let expected =
-    [ Wasp.Hc.read; Wasp.Hc.stat; Wasp.Hc.open_; Wasp.Hc.read; Wasp.Hc.write;
-      Wasp.Hc.close; Wasp.Hc.exit_ ]
+  let used =
+    List.filter_map
+      (fun (s : Telemetry.Span.span) ->
+        if s.name = "hypercall" && List.assoc "allowed" s.args = "true" then
+          Some (List.assoc "nr" s.args)
+        else None)
+      (Telemetry.Span.spans (Telemetry.Hub.spans hub))
   in
-  Alcotest.(check (list int)) "the paper's exact 7-hypercall sequence" expected used
+  let expected =
+    List.map Wasp.Hc.name
+      [ Wasp.Hc.read; Wasp.Hc.stat; Wasp.Hc.open_; Wasp.Hc.read; Wasp.Hc.write;
+        Wasp.Hc.close; Wasp.Hc.exit_ ]
+  in
+  Alcotest.(check (list string)) "the paper's exact 7-hypercall sequence" expected used
 
 let () =
   Alcotest.run "integration"

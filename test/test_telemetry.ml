@@ -331,41 +331,6 @@ let test_percentile_table_renders () =
   Alcotest.(check bool) "p50 header" true (contains "p50 (us)");
   Alcotest.(check bool) "empty row dashes" true (contains "-")
 
-(* --- trace adapter (satellite 1) -------------------------------------- *)
-
-let test_trace_stamps_and_mirror () =
-  let w = Wasp.Runtime.create ~seed:0xACE () in
-  let hub = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
-  Wasp.Runtime.set_telemetry w (Some hub);
-  let tr = Wasp.Trace.create () in
-  Wasp.Runtime.set_trace w (Some tr);
-  ignore (Wasp.Runtime.run w (demo_image ()) ~policy:Wasp.Policy.allow_all ());
-  let stamped = Wasp.Trace.stamped tr in
-  Alcotest.(check bool) "trace recorded events" true (stamped <> []);
-  let stamps = List.map fst stamped in
-  Alcotest.(check bool) "all events cycle-stamped" true
-    (List.for_all Option.is_some stamps);
-  let rec monotone = function
-    | Some a :: (Some b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "stamps are monotone" true (monotone stamps);
-  (* .mli-compatible view still works *)
-  Alcotest.(check int) "events = stamped length" (List.length stamped)
-    (List.length (Wasp.Trace.events tr));
-  (* mirrored instants land in the sink with trace.* names *)
-  let instants =
-    List.filter_map
-      (function
-        | Telemetry.Span.Instant { i_name; _ } -> Some i_name
-        | Telemetry.Span.Complete _ -> None)
-      (Telemetry.Span.items (Telemetry.Hub.spans hub))
-  in
-  Alcotest.(check bool) "trace.image_loaded mirrored" true
-    (List.mem "trace.image_loaded" instants);
-  Alcotest.(check bool) "trace.finished mirrored" true
-    (List.mem "trace.finished" instants)
-
 (* --- pool + kvm metrics ----------------------------------------------- *)
 
 let test_pool_and_kvm_metrics () =
@@ -708,8 +673,6 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "trace stamps + telemetry mirror" `Quick
-            test_trace_stamps_and_mirror;
           Alcotest.test_case "pool and kvm metrics" `Quick test_pool_and_kvm_metrics;
           Alcotest.test_case "paged-memory gauges" `Quick test_memory_gauges;
         ] );

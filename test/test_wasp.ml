@@ -85,11 +85,34 @@ let test_run_input_bytes () =
   | None -> Alcotest.fail "no output");
   Alcotest.(check int) "three hypercalls" 3 r.hypercalls
 
+(* Bad arguments are rejected before provisioning: the call charges
+   nothing, takes no shell, and the next run still hits the pool. *)
 let test_run_rejects_input_and_args () =
   let w = R.create () in
-  match R.run w hlt_image ~input:(Bytes.of_string "x") ~args:[ 1L ] () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument"
+  ignore (R.run w hlt_image ());
+  let pool () =
+    let s = R.pool_stats w in
+    (s.created, s.reused, s.cleans)
+  in
+  let before = (Cycles.Clock.now (R.clock w), pool ()) in
+  List.iter
+    (fun (what, call) ->
+      match call () with
+      | exception Invalid_argument _ ->
+          Alcotest.(check (pair int64 (triple int int int)))
+            (what ^ ": clock and pool untouched") before
+            (Cycles.Clock.now (R.clock w), pool ())
+      | _ -> Alcotest.failf "%s: expected Invalid_argument" what)
+    [
+      ("input xor args", fun () -> R.run w hlt_image ~input:(Bytes.of_string "x") ~args:[ 1L ] ());
+      ( "oversized input",
+        fun () -> R.run w hlt_image ~input:(Bytes.make (Wasp.Layout.arg_area_size + 1) 'x') () );
+    ];
+  Alcotest.(check int) "no invocation counted" 1 (R.stats w).invocations;
+  let r = R.run w hlt_image () in
+  Alcotest.(check bool) "next run hits the pool" true r.from_pool;
+  let created, _, _ = pool () in
+  Alcotest.(check int) "no shell leaked" 1 created
 
 let test_faulting_virtine_is_contained () =
   let img =
