@@ -12,6 +12,9 @@ type system = {
   translate : bool;
       (* execute guests through the superblock translation cache; off =
          pure interpreter. Cycle-identical either way. *)
+  translation : Vm.Translate.stats;
+      (* shared by every vCPU's cache, so the counters survive shell
+         recycling and pool eviction *)
   mutable probes : Vtrace.Engine.t option;
   mutable observed : bool;
       (* any of telemetry / flight / probes attached: the one branch an
@@ -73,6 +76,7 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
     active_cpu = None;
     plan = None;
     translate;
+    translation = Vm.Translate.new_stats ();
     probes = None;
     observed = false;
     hc_port = None;
@@ -332,11 +336,11 @@ let create_vcpu vm ~mode =
          stay in their owning core's pool shard, so guest execution is
          always billed to that core *)
       let cpu = Vm.Cpu.create ~mem:(vm_memory vm) ~mode ~clock:(clock vm.sys) in
-      { parent = vm; cpu; trans = Vm.Translate.create cpu })
+      { parent = vm; cpu; trans = Vm.Translate.create ~stats:vm.sys.translation cpu })
 
 let vcpu_cpu v = v.cpu
 let vcpu_vm v = v.parent
-let vcpu_translation_stats v = Vm.Translate.stats v.trans
+let translation_stats sys = sys.translation
 
 let reset_vcpu v ~mode =
   Vm.Cpu.reset v.cpu ~mode;
@@ -435,4 +439,4 @@ let build_shell sys ~core ~size ~mode =
     (Some (fun ~shared ~page -> on_page_fault sys ~shared ~page));
   vm.memory <- Some mem;
   let cpu = Vm.Cpu.create ~mem ~mode ~clock:sys.clocks.(core) in
-  { parent = vm; cpu; trans = Vm.Translate.create cpu }
+  { parent = vm; cpu; trans = Vm.Translate.create ~stats:sys.translation cpu }

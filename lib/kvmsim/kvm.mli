@@ -108,6 +108,11 @@ val set_core : system -> int -> unit
 val rng : system -> Cycles.Rng.t
 val stats : system -> stats
 
+val translation_stats : system -> Vm.Translate.stats
+(** Counters summed over the superblock caches of every vCPU the system
+    created (blocks compiled, dispatches, invalidations, interpreter
+    fallbacks); cumulative, so callers take deltas around a run. *)
+
 val exit_reason_counts : system -> (string * int) list
 (** Always-on per-reason tally of every {!run} return — the
     [kvm_exits_total{reason}] series ([hlt]/[hypercall]/[io_out]/
@@ -197,10 +202,6 @@ val vcpu_cpu : vcpu -> Vm.Cpu.t
     [KVM_GET/SET_REGS]. *)
 
 val vcpu_vm : vcpu -> vm
-
-val vcpu_translation_stats : vcpu -> Vm.Translate.stats
-(** Counters of the vCPU's superblock cache (blocks compiled,
-    dispatches, invalidations, interpreter fallbacks). *)
 
 val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
 (** Clear architectural state for shell reuse and drop the vCPU's

@@ -296,6 +296,31 @@ let read_bytes t ~off ~len =
   done;
   out
 
+(* Compare in place, page by page, in 8-byte strides: the translation
+   cache calls this on every stale-version block it revalidates, so it
+   must not allocate. *)
+let equal_string t ~off s =
+  let len = String.length s in
+  check t off len;
+  let rec chunks pos =
+    pos >= len
+    ||
+    let addr = off + pos in
+    let in_page = addr land page_mask in
+    let chunk = min (page_size - in_page) (len - pos) in
+    let pg = page_ro t (addr lsr page_shift) in
+    let stop = pos + chunk and delta = in_page - pos in
+    let rec words i =
+      if i + 8 > stop then bytes i
+      else Bytes.get_int64_le pg (i + delta) = String.get_int64_le s i && words (i + 8)
+    and bytes i =
+      i >= stop
+      || (Bytes.unsafe_get pg (i + delta) = String.unsafe_get s i && bytes (i + 1))
+    in
+    words pos && chunks stop
+  in
+  chunks 0
+
 let write_bytes t ~off b =
   let len = Bytes.length b in
   check t off len;

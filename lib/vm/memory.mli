@@ -45,6 +45,11 @@ val write_bytes : t -> off:int -> bytes -> unit
     zero-padded image materializes only its nonzero pages. The written
     range is marked dirty either way. *)
 
+val equal_string : t -> off:int -> string -> bool
+(** [equal_string t ~off s] is true iff the [String.length s] bytes at
+    [off] equal [s]. Compares in place without allocating; raises
+    {!Fault} if the range is out of bounds. *)
+
 val read_cstring : t -> off:int -> max:int -> string
 (** Read a NUL-terminated string of at most [max] bytes; raises {!Fault}
     if no terminator is found within bounds (hypercall handlers use this to

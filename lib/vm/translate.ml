@@ -6,9 +6,10 @@
    decodes each basic block once into a *superblock*: an OCaml closure
    chain with one direct-threaded continuation per instruction, chained
    on fallthrough and static branch targets. Blocks are keyed by
-   (pc, cpu_mode) and invalidated by the page content versions in
-   Memory, so self-modifying writes and Pool.release/CoW restores flush
-   exactly the stale blocks.
+   (pc, cpu_mode). The page content versions in Memory are a fast
+   filter; a block whose versions went stale is revalidated against the
+   bytes it decoded, so only a store that changed those bytes (or a
+   pool reset's epoch bump) costs a retranslation.
 
    The timing model is untouched: every translated instruction charges
    its exact Instr.cost, bumps retired, and honors fuel. Cycle and
@@ -45,12 +46,17 @@ type slot = { mutable s_blk : block option }
 
 and block = {
   b_epoch : int;          (* Memory.epoch at translation time *)
-  b_pages : int array;    (* pages the block's code bytes span *)
-  b_vers : int array;     (* their content versions at translation time *)
+  b_pc : int;             (* entry pc *)
+  b_code : string;        (* the bytes decoded, [b_pc, end pc) *)
+  b_pages : int array;    (* pages those bytes span *)
+  b_vers : int array;
+      (* their content versions when the bytes were last known equal to
+         [b_code]; restamped in place by [lookup], which the block's own
+         write checks read *)
   b_exec : unit -> Cpu.exit_reason option;
       (* [Some exit] = VM exit; [None] = control left the chain
-         (indirect branch, invalidation, undecodable pc): re-dispatch at
-         the CPU's pc. *)
+         (indirect branch, a store to the block's own pages, undecodable
+         pc): re-dispatch at the CPU's pc. *)
 }
 
 type t = {
@@ -67,7 +73,10 @@ type t = {
   stats : stats;
 }
 
-let create cpu =
+let new_stats () =
+  { blocks_translated = 0; dispatches = 0; invalidations = 0; hook_fallbacks = 0 }
+
+let create ?(stats = new_stats ()) cpu =
   {
     cpu;
     mem = Cpu.mem cpu;
@@ -79,8 +88,7 @@ let create cpu =
     fuel = 0;
     cur_pc = 0;
     block_hook = None;
-    stats =
-      { blocks_translated = 0; dispatches = 0; invalidations = 0; hook_fallbacks = 0 };
+    stats;
   }
 
 let stats t = t.stats
@@ -119,6 +127,19 @@ let pages_current mem pages vers =
 let block_valid tr b =
   b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers
 
+(* The versions are only a filter: a store anywhere on a code page bumps
+   them, but the block stays correct as long as its own bytes are
+   unchanged. Data sharing a page with code (crt0's heap init loop) then
+   costs a byte compare per block, not a retranslation. *)
+let revalidate tr b =
+  if Memory.equal_string tr.mem ~off:b.b_pc b.b_code then begin
+    for i = 0 to Array.length b.b_pages - 1 do
+      Array.unsafe_set b.b_vers i (Memory.page_version tr.mem (Array.unsafe_get b.b_pages i))
+    done;
+    true
+  end
+  else false
+
 let rec lookup tr pc =
   let e = Memory.epoch tr.mem in
   if e <> tr.t_epoch then begin
@@ -128,7 +149,7 @@ let rec lookup tr pc =
   end;
   let key = key_of pc (Cpu.mode tr.cpu) in
   match Hashtbl.find_opt tr.table key with
-  | Some b when block_valid tr b -> b
+  | Some b when block_valid tr b || revalidate tr b -> b
   | Some _ ->
       tr.stats.invalidations <- tr.stats.invalidations + 1;
       Hashtbl.remove tr.table key;
@@ -168,15 +189,22 @@ and translate tr pc0 =
         | [] -> assert false)
     | (`Fall _ | `Bad _) as k -> (decoded, k)
   in
-  (* The pages the decoded bytes span; rechecked after every in-block
-     write (self-modifying code) and on every block entry. Filled in
-     after compilation — the closures capture the refs. *)
-  let pages_r = ref [||] and vers_r = ref [||] in
-  let smc_ok () = pages_current mem !pages_r !vers_r in
-  let smc_abort () =
-    tr.stats.invalidations <- tr.stats.invalidations + 1;
-    None
+  let end_pc =
+    match term with `Term (pc, _, size) -> pc + size | `Fall pc | `Bad pc -> pc
   in
+  (* The decoded bytes and the pages they span. The versions are
+     rechecked after every in-block write and on every block entry; a
+     mismatch mid-block aborts to the dispatcher, whose [lookup] decides
+     from the bytes whether the block survives. *)
+  let code, pages =
+    if end_pc = pc0 then ("", [||]) (* [pc0] itself is undecodable *)
+    else
+      let first = pc0 / Memory.page_size in
+      ( Bytes.unsafe_to_string (Memory.read_bytes mem ~off:pc0 ~len:(end_pc - pc0)),
+        Array.init (((end_pc - 1) / Memory.page_size) - first + 1) (fun i -> first + i) )
+  in
+  let vers = Array.map (Memory.page_version mem) pages in
+  let smc_ok () = pages_current mem pages vers in
   let out_of_fuel start =
     commit tr;
     Cpu.set_pc cpu start;
@@ -299,7 +327,7 @@ and translate tr pc0 =
                 if smc_ok () then g ()
                 else begin
                   Cpu.set_pc cpu a;
-                  smc_abort ()
+                  None
                 end
               end
         | Callr r ->
@@ -475,7 +503,7 @@ and translate tr pc0 =
             commit tr;
             Cpu.set_pc cpu next;
             Cpu.push cpu (srcf ());
-            if smc_ok () then next_k () else smc_abort ()
+            if smc_ok () then next_k () else None
           end
     | Pop rd ->
         fun () ->
@@ -511,7 +539,7 @@ and translate tr pc0 =
             let addr = Int64.to_int (Array.unsafe_get regs rb) + d in
             Cpu.write_mem cpu w addr (srcf ());
             (* the store may have rewritten this very block *)
-            if smc_ok () then next_k () else smc_abort ()
+            if smc_ok () then next_k () else None
           end
     | Lea (rd, rb, d) ->
         let dv = Int64.of_int d in
@@ -540,17 +568,15 @@ and translate tr pc0 =
         assert false (* terminators, never in the body *)
   in
   let exec = List.fold_right compile body tail_k in
-  let end_pc =
-    match term with `Term (pc, _, size) -> pc + size | `Fall pc | `Bad pc -> pc
-  in
-  (if end_pc > pc0 then begin
-     let first = pc0 / Memory.page_size and last = (end_pc - 1) / Memory.page_size in
-     let n = last - first + 1 in
-     pages_r := Array.init n (fun i -> first + i);
-     vers_r := Array.init n (fun i -> Memory.page_version mem (first + i))
-   end);
   tr.stats.blocks_translated <- tr.stats.blocks_translated + 1;
-  { b_epoch = Memory.epoch mem; b_pages = !pages_r; b_vers = !vers_r; b_exec = exec }
+  {
+    b_epoch = Memory.epoch mem;
+    b_pc = pc0;
+    b_code = code;
+    b_pages = pages;
+    b_vers = vers;
+    b_exec = exec;
+  }
 
 let default_fuel = 200_000_000 (* matches Cpu.run *)
 

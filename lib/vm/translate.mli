@@ -2,9 +2,18 @@
 
     A drop-in fast path for {!Cpu.run}: basic blocks are decoded once
     into closure-chain {e superblocks} (direct-threaded, chained on
-    fallthrough and static branch targets), keyed by [(pc, cpu_mode)]
-    and invalidated through {!Memory.page_version} / {!Memory.epoch} so
-    self-modifying code and pool resets flush exactly the stale blocks.
+    fallthrough and static branch targets), keyed by [(pc, cpu_mode)].
+
+    Validity is byte-exact. {!Memory.page_version} and {!Memory.epoch}
+    are the fast filter: a block whose recorded versions still match is
+    reused without further checks. A block whose versions went stale is
+    compared with the bytes it decoded (kept once per block); if they
+    are unchanged its versions are restamped in place and it is reused,
+    chain slots included. Only changed bytes cost a retranslation, so
+    data that shares a page with code (crt0's heap init loop, say) no
+    longer thrashes the cache. A pool reset's epoch bump still drops
+    every block ({!flush_cache}): keeping blocks across shell reuse
+    would grow the live heap by every image the shell ever ran.
 
     Observationally identical to the interpreter: same faults at the
     same PCs, same exits, bit-for-bit identical cycle counts and retired
@@ -17,9 +26,25 @@
 
 type t
 
-val create : Cpu.t -> t
+type stats = {
+  mutable blocks_translated : int;  (** superblocks compiled (incl. retranslations) *)
+  mutable dispatches : int;
+      (** dispatcher entries (chained transfers excluded); a block that
+          aborts after a store to one of its own pages re-enters here *)
+  mutable invalidations : int;
+      (** cached blocks dropped because their bytes changed; stale page
+          versions over unchanged bytes are not counted *)
+  mutable hook_fallbacks : int;     (** runs delegated to the interpreter *)
+}
+
+val new_stats : unit -> stats
+(** All counters zero. *)
+
+val create : ?stats:stats -> Cpu.t -> t
 (** A translation cache bound to one CPU (and its memory). Blocks
-    persist across {!run} calls until invalidated. *)
+    persist across {!run} calls until invalidated. [stats] (default
+    {!new_stats}[ ()]) is the record its counters accumulate into;
+    caches given the same record share one set of totals. *)
 
 val run : ?fuel:int -> t -> Cpu.exit_reason
 (** Execute until a VM exit, like {!Cpu.run} (same default fuel,
@@ -28,7 +53,8 @@ val run : ?fuel:int -> t -> Cpu.exit_reason
 
 val flush_cache : t -> unit
 (** Drop every translated block (vcpu reset). Purely a performance
-    event — stale blocks are also caught by validation. *)
+    event — stale blocks are also caught by validation — that keeps a
+    recycled shell's table from holding the previous image's blocks. *)
 
 val set_block_hook : t -> (pc:int -> unit) option -> unit
 (** Install (or clear) a block-entry observer: called once per
@@ -40,12 +66,5 @@ val set_block_hook : t -> (pc:int -> unit) option -> unit
     or advance clocks (vtrace block probes rely on this). *)
 
 (** {1 Introspection} *)
-
-type stats = {
-  mutable blocks_translated : int;  (** superblocks compiled (incl. retranslations) *)
-  mutable dispatches : int;         (** dispatcher entries (chained transfers excluded) *)
-  mutable invalidations : int;      (** stale blocks dropped or aborted mid-block *)
-  mutable hook_fallbacks : int;     (** runs delegated to the interpreter *)
-}
 
 val stats : t -> stats

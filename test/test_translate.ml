@@ -142,6 +142,71 @@ let prop_differential =
       let mem_size = 64 * 1024 in
       same (exec `Interp ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
 
+(* Self-modifying loops: each iteration pokes bytes of the program's own
+   code, either the byte already there (reloaded at run time, so page
+   versions go stale over unchanged bytes) or a random one. Body
+   instructions use r0-r9; r10/r11 address and carry the poke, r12
+   counts iterations. *)
+let gen_smc_loop =
+  let open QCheck.Gen in
+  let reg = int_range 0 9 in
+  let operand =
+    oneof [ map (fun r -> Instr.Reg r) reg; map (fun i -> Instr.Imm (Int64.of_int i)) int ]
+  in
+  let plain =
+    oneof
+      [
+        return Instr.Nop;
+        map2 (fun r o -> Instr.Mov (r, o)) reg operand;
+        map3 (fun op r o -> Instr.Bin (op, r, o)) gen_binop reg operand;
+        map (fun r -> Instr.Neg r) reg;
+        map2 (fun r o -> Instr.Cmp (r, o)) reg operand;
+        map3 (fun rd rb d -> Instr.Lea (rd, rb, d)) reg reg gen_disp;
+        (let* w = gen_width and* rd = reg and* rb = reg and* d = gen_disp in
+         return (Instr.Load (w, rd, rb, d)));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (3, map (fun i -> `Plain i) plain);
+        (2, map (fun k -> `Same k) nat);
+        (1, map2 (fun k b -> `Rand (k, b)) nat (int_range 0 255));
+      ]
+  in
+  triple gen_mode (int_range 1 8) (list_size (int_range 1 12) op)
+
+let smc_loop_program (_, iters, ops) =
+  let open Instr in
+  let build code_len =
+    let target k = Imm (Int64.of_int (origin + (k mod code_len))) in
+    let head = Mov (12, Imm (Int64.of_int iters)) in
+    let top = origin + Encoding.encoded_size head in
+    let body =
+      List.concat_map
+        (function
+          | `Plain i -> [ i ]
+          | `Same k -> [ Mov (10, target k); Load (W8, 11, 10, 0); Store (W8, 10, 0, Reg 11) ]
+          | `Rand (k, b) -> [ Mov (10, target k); Store (W8, 10, 0, Imm (Int64.of_int b)) ])
+        ops
+    in
+    (head :: body) @ [ Bin (Sub, 12, Imm 1L); Cmp (12, Imm 0L); Jcc (Gt, top); Hlt ]
+  in
+  (* immediates encode at a fixed width, so the length does not depend
+     on the poke targets *)
+  let code_len = Bytes.length (Encoding.encode_program (build 1)) in
+  build code_len
+
+let prop_smc_loops =
+  QCheck.Test.make ~name:"self-modifying loops agree across engines" ~count:300
+    (QCheck.make
+       ~print:(fun ((mode, _, _) as p) -> print_program (mode, smc_loop_program p))
+       gen_smc_loop)
+    (fun ((mode, _, _) as p) ->
+      let code = Encoding.encode_program (smc_loop_program p) in
+      let mem_size = 64 * 1024 in
+      same (exec `Interp ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
+
 (* ------------------------------------------------------------------ *)
 (* Directed: self-modifying code                                        *)
 (* ------------------------------------------------------------------ *)
@@ -252,12 +317,21 @@ let test_block_reuse_and_invalidation () =
   run ();
   Alcotest.(check int) "second run reuses the cached block" after_first
     s.blocks_translated;
-  (* rewriting a code byte (same value, new version) must invalidate *)
+  (* rewriting a code byte with its own value bumps the page version but
+     leaves the decoded bytes intact: the block is revalidated, not
+     retranslated *)
   Vm.Memory.write_u8 mem origin (Vm.Memory.read_u8 mem origin);
   run ();
-  Alcotest.(check bool) "write to code page forces retranslation" true
+  Alcotest.(check int) "same-value write keeps the block" after_first s.blocks_translated;
+  Alcotest.(check int) "no invalidation counted" 0 s.invalidations;
+  (* changing a byte (the immediate 1 -> 2) must retranslate, and the new
+     instruction must execute *)
+  Vm.Memory.write_bytes mem ~off:origin (Encoding.encode_program [ Mov (0, Imm 2L); Hlt ]);
+  run ();
+  Alcotest.(check bool) "changed byte forces retranslation" true
     (s.blocks_translated > after_first);
-  Alcotest.(check bool) "invalidation counted" true (s.invalidations > 0);
+  Alcotest.(check int) "invalidation counted" 1 s.invalidations;
+  Alcotest.(check int64) "new instruction executed" 2L (Vm.Cpu.get_reg cpu 0);
   (* pool-style reset: epoch bump flushes everything *)
   let snap = Vm.Memory.read_bytes mem ~off:origin ~len:(Bytes.length code) in
   let before_reset = s.blocks_translated in
@@ -266,6 +340,40 @@ let test_block_reuse_and_invalidation () =
   run ();
   Alcotest.(check bool) "epoch bump forces retranslation" true
     (s.blocks_translated > before_reset)
+
+let test_data_on_code_page () =
+  (* a loop fills a data area that shares its 4 KiB page with the loop's
+     own code, as crt0's heap init does: every store bumps the code
+     page's version, but no code byte changes, so each distinct block is
+     translated once however many stores land beside it *)
+  let open Instr in
+  let n = 1000 and data = origin + 0x400 in
+  let head = [ Mov (1, Imm (Int64.of_int data)); Mov (2, Imm (Int64.of_int n)) ] in
+  let top = origin + List.fold_left (fun a i -> a + Encoding.encoded_size i) 0 head in
+  let prog =
+    head
+    @ [
+        Store (W8, 1, 0, Reg 2);
+        Bin (Add, 1, Imm 1L);
+        Bin (Sub, 2, Imm 1L);
+        Cmp (2, Imm 0L);
+        Jcc (Gt, top);
+        Hlt;
+      ]
+  in
+  let code = Encoding.encode_program prog in
+  assert (data > origin + Bytes.length code && data + n <= origin + Vm.Memory.page_size);
+  let i, _ = both "data on code page" code in
+  Alcotest.(check string) "halts" "halt" i.exit;
+  let cpu, _ = make_cpu code in
+  let tr = Vm.Translate.create cpu in
+  ignore (Vm.Translate.run tr);
+  (* entry block, loop head, and the post-store resume point *)
+  let s = Vm.Translate.stats tr in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d blocks translated for 3 distinct" s.blocks_translated)
+    true (s.blocks_translated <= 3);
+  Alcotest.(check int) "nothing invalidated" 0 s.invalidations
 
 let test_out_resumable_across_engines () =
   let open Instr in
@@ -366,9 +474,11 @@ let () =
     [
       ( "differential",
         QCheck_alcotest.to_alcotest prop_differential
+        :: QCheck_alcotest.to_alcotest prop_smc_loops
         :: [
              Alcotest.test_case "smc same block" `Quick test_smc_same_block;
              Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
+             Alcotest.test_case "data on code page" `Quick test_data_on_code_page;
              Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
              Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
            ] );

@@ -653,6 +653,30 @@ let test_mem_restore_cow_bumps_versions () =
   Alcotest.(check bool) "restored page version bumped" true
     (Vm.Memory.page_version m 1 > v1)
 
+let test_mem_equal_string () =
+  (* a range straddling shared, owned and zero pages, with odd ends so
+     both the 8-byte strides and the byte tails run: every single byte
+     that differs must be seen *)
+  let m = Vm.Memory.create ~size:(5 * 4096) in
+  Vm.Memory.write_bytes m ~off:4000 (Bytes.init 200 (fun i -> Char.chr (i + 1)));
+  ignore (Vm.Memory.capture m);
+  Vm.Memory.write_bytes m ~off:8192 (Bytes.make 20 'x');
+  (* pages 0-1 shared, 2 owned, 3 zero *)
+  let off = 4077 and len = (3 * 4096) + 37 - 4077 in
+  let s = Vm.Memory.read_bytes m ~off ~len in
+  Alcotest.(check bool) "equal range" true
+    (Vm.Memory.equal_string m ~off (Bytes.to_string s));
+  Alcotest.(check bool) "empty range" true (Vm.Memory.equal_string m ~off:(5 * 4096) "");
+  for i = 0 to len - 1 do
+    let t = Bytes.copy s in
+    Bytes.set t i (Char.chr (Char.code (Bytes.get t i) lxor 0x80));
+    if Vm.Memory.equal_string m ~off (Bytes.to_string t) then
+      Alcotest.failf "difference at byte %d not seen" i
+  done;
+  match Vm.Memory.equal_string m ~off:((5 * 4096) - 2) "abc" with
+  | _ -> Alcotest.fail "out-of-range compare must fault"
+  | exception Vm.Memory.Fault _ -> ()
+
 let () =
   Alcotest.run "vm"
     [
@@ -742,5 +766,6 @@ let () =
           Alcotest.test_case "page versions" `Quick test_mem_page_versions;
           Alcotest.test_case "restore_cow bumps versions" `Quick
             test_mem_restore_cow_bumps_versions;
+          Alcotest.test_case "equal_string" `Quick test_mem_equal_string;
         ] );
     ]
