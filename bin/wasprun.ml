@@ -99,18 +99,6 @@ let policy_to_string p =
   | Some s -> s
   | None -> invalid_arg "cannot record a Custom policy"
 
-let policy_of_string = Wasp.Policy.of_string
-
-let mode_of_string s =
-  match Vm.Modes.of_string s with
-  | Some m -> Ok m
-  | None -> Error (Printf.sprintf "unknown mode %S" s)
-
-let outcome_string = function
-  | Wasp.Runtime.Exited _ -> "exited"
-  | Wasp.Runtime.Faulted _ -> "faulted"
-  | Wasp.Runtime.Fuel_exhausted -> "fuel"
-
 let default_fuel = 50_000_000
 
 (* --chaos: non-fatal turbulence (spurious exits and EPT storms perturb
@@ -177,168 +165,64 @@ let emit_probes probes probe_out =
           print_newline ();
           print_string text)
 
-(* --vhttp: one request through the ringed static-file server (§6.3 with
-   the batched hypercall ring; see docs/hypercalls.md). The host
-   environment is rebuilt deterministically — the static corpus plus a
-   socket pair already carrying "GET /index.html" — so a recorded run
-   replays byte-identically: [replay_file] recreates the same
-   environment whenever the recorded image is a fileserver. *)
-let setup_vhttp_env w =
-  let path = Vhttp.Fileserver.add_default_files (Wasp.Runtime.env w) in
-  let client_end, server_end = Wasp.Hostenv.socket_pair (Wasp.Runtime.env w) in
-  ignore
-    (Wasp.Hostenv.send client_end
-       (Bytes.of_string (Vhttp.Fileserver.request_for ~path)));
-  (client_end, server_end)
+(* The image and policy to run: with --vhttp, the ringed static-file
+   server's request handler (§6.3 with the batched hypercall ring; see
+   docs/hypercalls.md), whose host environment the invocation flow
+   rebuilds; otherwise an assembled file or built-in demo under the
+   --allow / --permissive policy. *)
+let select_image ~vhttp ~file ~example ~example_fault ~mode ~allow ~all =
+  if vhttp then
+    match
+      Vcc.Compile.find_virtine (Vhttp.Fileserver.compile_ring ~snapshot:false) "handle"
+    with
+    | Some vi -> Ok (vi.Vcc.Compile.image, vi.Vcc.Compile.policy)
+    | None -> Error "ringed fileserver has no virtine handler"
+  else
+    let source =
+      if example then Some example_source
+      else if example_fault then Some example_fault_source
+      else Option.map read_file file
+    in
+    match source with
+    | None -> Error "pass an assembly file or --example / --example-fault / --vhttp"
+    | Some src -> (
+        match Asm.assemble_string ~origin:Wasp.Layout.image_base src with
+        | exception Asm.Asm_error msg -> Error ("assembly error: " ^ msg)
+        | program ->
+            let policy =
+              if all then Wasp.Policy.allow_all
+              else
+                Wasp.Policy.of_list
+                  (List.filter_map (fun n -> List.assoc_opt n hc_by_name) allow)
+            in
+            Ok (Wasp.Image.of_program ~name:"wasprun" ~mode program, policy))
 
-let is_fileserver_image name =
-  String.length name >= 10 && String.sub name 0 10 = "fileserver"
-
-let run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity () =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "vhttp: %s\n" m; 1) fmt in
-  match build_probes probe with
-  | Error msg -> fail "bad probe spec: %s" msg
-  | Ok probes -> (
-      let compiled = Vhttp.Fileserver.compile_ring ~snapshot:false in
-      match Vcc.Compile.find_virtine compiled "handle" with
-      | None -> fail "ringed fileserver has no virtine handler"
-      | Some vi ->
-          let image = vi.Vcc.Compile.image in
-          let policy = vi.Vcc.Compile.policy in
-          let w = Wasp.Runtime.create ~seed ~translate ?flight_capacity () in
-          Wasp.Runtime.set_probes w probes;
-          let client_end, server_end = setup_vhttp_env w in
-          let recorder =
-            match record with
-            | None -> None
-            | Some _ ->
-                let rc = Profiler.Replay.create () in
-                Profiler.Replay.set_image rc ~name:image.Wasp.Image.name
-                  ~mode:(Vm.Modes.to_string image.Wasp.Image.mode)
-                  ~origin:image.Wasp.Image.origin ~entry:image.Wasp.Image.entry
-                  ~mem_size:image.Wasp.Image.mem_size
-                  ~code:(Bytes.to_string image.Wasp.Image.code);
-                Profiler.Replay.set_env rc ~seed ~policy:(policy_to_string policy)
-                  ~fuel:default_fuel ();
-                Wasp.Runtime.set_recorder w (Some rc);
-                Some rc
-          in
-          let r =
-            Wasp.Runtime.run w image ~policy ~conn:server_end ~fuel:default_fuel ()
-          in
-          (match (recorder, record) with
-          | Some rc, Some path ->
-              Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-                ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-                ~return_value:r.Wasp.Runtime.return_value;
-              write_file path (Profiler.Replay.to_string rc);
-              Printf.printf "recording written to %s (%d hypercall events)\n" path
-                (Profiler.Replay.event_count rc)
-          | _ -> ());
-          emit_probes probes probe_out;
-          let response = Bytes.to_string (Wasp.Hostenv.recv client_end ~max:8192) in
-          (match r.Wasp.Runtime.outcome with
-          | Wasp.Runtime.Exited code ->
-              Printf.printf
-                "served %d response bytes, exited with %Ld  [%.1f us, %d hypercalls]\n"
-                (String.length response) code
-                (Cycles.Clock.to_us (Wasp.Runtime.clock w) r.Wasp.Runtime.cycles)
-                r.Wasp.Runtime.hypercalls;
-              0
-          | Wasp.Runtime.Faulted f ->
-              Printf.printf "faulted: %s\n"
-                (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f));
-              1
-          | Wasp.Runtime.Fuel_exhausted ->
-              print_endline "out of fuel";
-              1))
-
-(* Re-execute a .vxr recording under the recorded seed/policy/fuel and
-   diff the fresh transcript against it, cycle for cycle. Replaying with
-   the opposite of the recording engine (--no-translate vs the default
-   translated run, or vice versa) is the cross-engine equivalence
-   check: zero divergence means interpreter and translator agree on
-   every hypercall cycle stamp. *)
+(* --replay: the verdict of the replayer fuzz_cli --check-fixtures also
+   uses (Fuzz.Replayer). Replaying under the other engine than the
+   recording's is the cross-engine equivalence check. *)
 let replay_file ~translate ~probe ~probe_out ?flight_capacity path =
-  let fail fmt = Printf.ksprintf (fun m -> Printf.eprintf "replay: %s\n" m; 1) fmt in
-  match Profiler.Replay.of_string (read_file path) with
-  | exception Sys_error msg -> fail "%s" msg
-  | Error msg -> fail "cannot parse %s: %s" path msg
-  | Ok recorded -> (
-      match
-        ( mode_of_string (Profiler.Replay.mode recorded),
-          policy_of_string (Profiler.Replay.policy recorded) )
-      with
-      | Error msg, _ | _, Error msg -> fail "%s" msg
-      | Ok mode, Ok policy ->
-          match build_probes probe with
-          | Error msg -> fail "bad probe spec: %s" msg
-          | Ok probes ->
-          let image : Wasp.Image.t =
-            {
-              name = Profiler.Replay.image_name recorded;
-              code = Bytes.of_string (Profiler.Replay.code recorded);
-              origin = Profiler.Replay.origin recorded;
-              entry = Profiler.Replay.entry recorded;
-              mode;
-              mem_size = Profiler.Replay.mem_size recorded;
-              symbols = [];
-            }
-          in
-          let w =
-            Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) ~translate
-              ?flight_capacity ()
-          in
-          Wasp.Runtime.set_probes w probes;
-          (* Chaos recordings carry their fault plan; re-arm an identical
-             one so injected turbulence reproduces cycle-for-cycle. *)
-          let plan_err = ref None in
-          (match Profiler.Replay.fault_plan recorded with
-          | Some text -> (
-              match Cycles.Fault_plan.of_string text with
-              | Ok plan -> Wasp.Runtime.set_fault_plan w (Some plan)
-              | Error msg -> plan_err := Some msg)
-          | None -> ());
-          if !plan_err <> None then fail "bad recorded fault plan: %s" (Option.get !plan_err)
-          else begin
-          let fresh = Profiler.Replay.create () in
-          Profiler.Replay.set_image fresh ~name:image.name
-            ~mode:(Vm.Modes.to_string image.mode) ~origin:image.origin ~entry:image.entry
-            ~mem_size:image.mem_size
-            ~code:(Bytes.to_string image.code);
-          Profiler.Replay.set_env fresh
-            ?fault_plan:(Profiler.Replay.fault_plan recorded)
-            ~seed:(Profiler.Replay.seed recorded)
-            ~policy:(Profiler.Replay.policy recorded)
-            ~fuel:(Profiler.Replay.fuel recorded) ();
-          Wasp.Runtime.set_recorder w (Some fresh);
-          (* Fileserver recordings (--vhttp) need the host environment the
-             recording ran against: rebuild the corpus + pending request. *)
-          let conn =
-            if is_fileserver_image image.name then Some (snd (setup_vhttp_env w))
-            else None
-          in
-          let r =
-            Wasp.Runtime.run w image ~policy ?conn
-              ~fuel:(Profiler.Replay.fuel recorded) ()
-          in
-          Profiler.Replay.finish fresh ~cycles:r.Wasp.Runtime.cycles
-            ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-            ~return_value:r.Wasp.Runtime.return_value;
-          emit_probes probes probe_out;
-          (match Profiler.Replay.diff recorded fresh with
-          | [] ->
-              Printf.printf
-                "replay ok: zero divergence (%d hypercall events, %Ld cycles, outcome %s)\n"
-                (Profiler.Replay.event_count recorded)
-                (Profiler.Replay.total_cycles recorded)
-                (Profiler.Replay.outcome recorded);
-              0
-          | divergences ->
-              Printf.eprintf "replay DIVERGED (%d differences):\n" (List.length divergences);
-              List.iter (fun d -> Printf.eprintf "  %s\n" d) divergences;
-              1)
-          end)
+  match (Profiler.Replay.of_file path, build_probes probe) with
+  | Error msg, _ ->
+      Printf.eprintf "replay: cannot parse %s: %s\n" path msg;
+      1
+  | _, Error msg ->
+      Printf.eprintf "replay: bad probe spec: %s\n" msg;
+      1
+  | Ok recorded, Ok probes -> (
+      let verdict = Fuzz.Replayer.replay ?probes ?flight_capacity ~translate recorded in
+      emit_probes probes probe_out;
+      match verdict with
+      | Ok () ->
+          Printf.printf
+            "replay ok: zero divergence (%d hypercall events, %Ld cycles, outcome %s)\n"
+            (Profiler.Replay.event_count recorded)
+            (Profiler.Replay.total_cycles recorded)
+            (Profiler.Replay.outcome recorded);
+          0
+      | Error divergences ->
+          Printf.eprintf "replay DIVERGED (%d differences):\n" (List.length divergences);
+          List.iter (fun d -> Printf.eprintf "  %s\n" d) divergences;
+          1)
 
 (* --mem-stats: page-sharing figures for the run, read back from the
    gauges the runtime maintains plus the process-wide page cache. *)
@@ -373,202 +257,180 @@ let print_mem_stats hub w =
 let run file example example_fault vhttp mode allow all trace_json metrics mem_stats check
     profile profile_folded record replay seed chaos fault_plan_file repeat
     explain_slowest translate probe probe_out flight_capacity =
+  let plan_result () =
+    match (fault_plan_file, chaos) with
+    | Some path, _ -> (
+        match Cycles.Fault_plan.of_string (read_file path) with
+        | Ok p -> Ok (Some p)
+        | Error msg -> Error msg
+        | exception Sys_error msg -> Error msg)
+    | None, true -> Result.map Option.some (Cycles.Fault_plan.of_string default_chaos_plan)
+    | None, false -> Ok None
+  in
   match (check, replay) with
   | _ when (match flight_capacity with Some n -> n < 1 | None -> false) ->
       prerr_endline "error: --flight-capacity must be >= 1";
       1
   | Some path, _ -> check_trace path
   | None, Some path -> replay_file ~translate ~probe ~probe_out ?flight_capacity path
-  | None, None when vhttp ->
-      run_vhttp ~record ~seed ~translate ~probe ~probe_out ?flight_capacity ()
   | None, None -> (
-      let source =
-        if example then Some example_source
-        else if example_fault then Some example_fault_source
-        else match file with Some f -> Some (read_file f) | None -> None
-      in
-      match source with
-      | None ->
-          prerr_endline "error: pass an assembly file or --example / --example-fault";
+      match
+        ( select_image ~vhttp ~file ~example ~example_fault ~mode ~allow ~all,
+          plan_result (),
+          build_probes probe )
+      with
+      | Error msg, _, _ ->
+          Printf.eprintf "error: %s\n" msg;
           1
-      | Some src -> (
-          match Asm.assemble_string ~origin:Wasp.Layout.image_base src with
-          | exception Asm.Asm_error msg ->
-              Printf.eprintf "assembly error: %s\n" msg;
+      | _, Error msg, _ ->
+          Printf.eprintf "error: fault plan: %s\n" msg;
+          1
+      | _, _, Error msg ->
+          Printf.eprintf "error: bad probe spec: %s\n" msg;
+          1
+      | _ when repeat < 1 ->
+          prerr_endline "error: --repeat must be >= 1";
+          1
+      | _ when record <> None && repeat > 1 ->
+          prerr_endline "error: --record captures a single invocation; drop --repeat";
+          1
+      | Ok (image, policy), Ok plan, Ok probes ->
+          let w = Wasp.Runtime.create ~seed ~translate ?flight_capacity () in
+          Wasp.Runtime.set_probes w probes;
+          Wasp.Runtime.set_fault_plan w plan;
+          let hub =
+            if trace_json <> None || metrics || mem_stats || explain_slowest > 0 then begin
+              let h = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
+              (* ids come from the same --seed, so --explain-slowest
+                 prints byte-identical timelines across runs *)
+              if explain_slowest > 0 then Telemetry.Hub.enable_tracing h ~seed;
+              Wasp.Runtime.set_telemetry w (Some h);
+              Some h
+            end
+            else None
+          in
+          (match (probes, hub) with
+          | Some e, Some h -> Vtrace.Engine.set_metrics e (Some (Telemetry.Hub.metrics h))
+          | _ -> ());
+          let prof =
+            if profile || profile_folded <> None then begin
+              let p = Profiler.Profile.create () in
+              Wasp.Runtime.set_profiler w (Some p);
+              Some p
+            end
+            else None
+          in
+          let recorder =
+            Option.map
+              (fun _ ->
+                let rc =
+                  Fuzz.Replayer.recorder image ~seed ~policy:(policy_to_string policy)
+                    ~fuel:default_fuel
+                    ~plan:(Option.map Cycles.Fault_plan.to_string plan)
+                in
+                Wasp.Runtime.set_recorder w (Some rc);
+                rc)
+              record
+          in
+          (* --vhttp: the client end of a socket pair already carrying
+             the request; the server end is the invocation's conn *)
+          let client = if vhttp then Some (Fuzz.Replayer.setup_vhttp_env w) else None in
+          Printf.printf "loaded %d bytes at 0x%x (%s mode), policy %s\n"
+            (Wasp.Image.size image) image.Wasp.Image.origin
+            (Vm.Modes.to_string image.Wasp.Image.mode)
+            (Format.asprintf "%a" Wasp.Policy.pp policy);
+          let invoke () =
+            Wasp.Runtime.run w image ~policy ?conn:(Option.map snd client)
+              ~fuel:default_fuel ()
+          in
+          let r = ref (invoke ()) in
+          for _ = 2 to repeat do
+            r := invoke ()
+          done;
+          let r = !r in
+          if r.Wasp.Runtime.console <> "" then
+            Printf.printf "--- console ---\n%s---------------\n" r.Wasp.Runtime.console;
+          let trace_write_failed =
+            match (trace_json, hub) with
+            | Some path, Some h -> (
+                match write_file path (Telemetry.Chrome.to_json h) with
+                | () ->
+                    Printf.printf
+                      "trace written to %s (load it in about://tracing or Perfetto)\n" path;
+                    false
+                | exception Sys_error msg ->
+                    Printf.eprintf "error: cannot write trace: %s\n" msg;
+                    true)
+            | _ -> false
+          in
+          (match prof with
+          | Some p ->
+              (match hub with Some h -> Profiler.Profile.export p h | None -> ());
+              if profile then begin
+                print_newline ();
+                print_string (Profiler.Profile.render p)
+              end;
+              (match profile_folded with
+              | Some path ->
+                  write_file path (Profiler.Profile.folded_lines p);
+                  Printf.printf "folded stacks written to %s (flamegraph.pl input)\n" path
+              | None -> ())
+          | None -> ());
+          (match (recorder, record) with
+          | Some rc, Some path ->
+              Fuzz.Replayer.finish rc r;
+              Profiler.Replay.to_file rc path;
+              Printf.printf "recording written to %s (%d hypercall events)\n" path
+                (Profiler.Replay.event_count rc)
+          | _ -> ());
+          (match (probes, hub) with
+          | Some e, Some h -> Vtrace.Engine.export e (Telemetry.Hub.metrics h)
+          | _ -> ());
+          emit_probes probes probe_out;
+          (match hub with
+          | Some h when metrics ->
+              print_newline ();
+              print_string (Telemetry.Summary.render h);
+              print_newline ();
+              print_string (Telemetry.Prometheus.to_text (Telemetry.Hub.metrics h))
+          | _ -> ());
+          (match hub with Some h when mem_stats -> print_mem_stats h w | _ -> ());
+          (match hub with
+          | Some h when explain_slowest > 0 ->
+              print_newline ();
+              print_string
+                (Profiler.Explain.slowest ~n:explain_slowest ~hub:h
+                   ?flight:(Wasp.Runtime.flight w) ())
+          | _ -> ());
+          (match plan with
+          | Some p ->
+              Printf.printf "chaos: %d faults injected under plan %s\n"
+                (Cycles.Fault_plan.total_injected p)
+                (Cycles.Fault_plan.to_string p)
+          | None -> ());
+          (match client with
+          | Some (client_end, _) ->
+              Printf.printf "served %d response bytes\n"
+                (Bytes.length (Wasp.Hostenv.recv client_end ~max:8192))
+          | None -> ());
+          match r.Wasp.Runtime.outcome with
+          | Wasp.Runtime.Exited code ->
+              Printf.printf "exited with %Ld  [%.1f us, %d hypercalls, %d denied]\n" code
+                (Cycles.Clock.to_us (Wasp.Runtime.clock w) r.Wasp.Runtime.cycles)
+                r.Wasp.Runtime.hypercalls r.Wasp.Runtime.denied;
+              if trace_write_failed then 1 else 0
+          | Wasp.Runtime.Faulted f ->
+              Printf.printf "faulted: %s\n"
+                (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f));
+              (match Wasp.Runtime.flight_dump w with
+              | Some dump ->
+                  print_newline ();
+                  print_string dump
+              | None -> ());
               1
-          | program -> (
-              let image = Wasp.Image.of_program ~name:"wasprun" ~mode program in
-              let policy =
-                if all then Wasp.Policy.allow_all
-                else
-                  Wasp.Policy.of_list
-                    (List.filter_map (fun n -> List.assoc_opt n hc_by_name) allow)
-              in
-              let plan_result =
-                match (fault_plan_file, chaos) with
-                | Some path, _ -> (
-                    match Cycles.Fault_plan.of_string (read_file path) with
-                    | Ok p -> Ok (Some p)
-                    | Error msg -> Error msg
-                    | exception Sys_error msg -> Error msg)
-                | None, true -> (
-                    match Cycles.Fault_plan.of_string default_chaos_plan with
-                    | Ok p -> Ok (Some p)
-                    | Error msg -> Error msg)
-                | None, false -> Ok None
-              in
-              match plan_result with
-              | Error msg ->
-                  Printf.eprintf "error: fault plan: %s\n" msg;
-                  1
-              | Ok _ when repeat < 1 ->
-                  prerr_endline "error: --repeat must be >= 1";
-                  1
-              | Ok _ when record <> None && repeat > 1 ->
-                  prerr_endline "error: --record captures a single invocation; drop --repeat";
-                  1
-              | Ok plan ->
-              match build_probes probe with
-              | Error msg ->
-                  Printf.eprintf "error: bad probe spec: %s\n" msg;
-                  1
-              | Ok probes ->
-              let w = Wasp.Runtime.create ~seed ~translate ?flight_capacity () in
-              Wasp.Runtime.set_probes w probes;
-              (match plan with
-              | Some p -> Wasp.Runtime.set_fault_plan w (Some p)
-              | None -> ());
-              let hub =
-                if trace_json <> None || metrics || mem_stats || explain_slowest > 0
-                then begin
-                  let h = Telemetry.Hub.create ~clock:(Wasp.Runtime.clock w) () in
-                  (* ids come from the same --seed, so --explain-slowest
-                     prints byte-identical timelines across runs *)
-                  if explain_slowest > 0 then Telemetry.Hub.enable_tracing h ~seed;
-                  Wasp.Runtime.set_telemetry w (Some h);
-                  Some h
-                end
-                else None
-              in
-              (match (probes, hub) with
-              | Some e, Some h ->
-                  Vtrace.Engine.set_metrics e (Some (Telemetry.Hub.metrics h))
-              | _ -> ());
-              let prof =
-                if profile || profile_folded <> None then begin
-                  let p = Profiler.Profile.create () in
-                  Wasp.Runtime.set_profiler w (Some p);
-                  Some p
-                end
-                else None
-              in
-              let recorder =
-                match record with
-                | None -> None
-                | Some _ ->
-                    let rc = Profiler.Replay.create () in
-                    Profiler.Replay.set_image rc ~name:image.Wasp.Image.name
-                      ~mode:(Vm.Modes.to_string image.Wasp.Image.mode)
-                      ~origin:image.Wasp.Image.origin ~entry:image.Wasp.Image.entry
-                      ~mem_size:image.Wasp.Image.mem_size
-                      ~code:(Bytes.to_string image.Wasp.Image.code);
-                    Profiler.Replay.set_env rc
-                      ?fault_plan:(Option.map Cycles.Fault_plan.to_string plan)
-                      ~seed ~policy:(policy_to_string policy) ~fuel:default_fuel ();
-                    Wasp.Runtime.set_recorder w (Some rc);
-                    Some rc
-              in
-              Printf.printf "loaded %d bytes at 0x%x (%s mode), policy %s\n"
-                (Wasp.Image.size image) image.Wasp.Image.origin
-                (Vm.Modes.to_string image.Wasp.Image.mode)
-                (Format.asprintf "%a" Wasp.Policy.pp policy);
-              let r = ref (Wasp.Runtime.run w image ~policy ~fuel:default_fuel ()) in
-              for _ = 2 to repeat do
-                r := Wasp.Runtime.run w image ~policy ~fuel:default_fuel ()
-              done;
-              let r = !r in
-              if r.Wasp.Runtime.console <> "" then
-                Printf.printf "--- console ---\n%s---------------\n" r.Wasp.Runtime.console;
-              let trace_write_failed =
-                match (trace_json, hub) with
-                | Some path, Some h -> (
-                    match write_file path (Telemetry.Chrome.to_json h) with
-                    | () ->
-                        Printf.printf
-                          "trace written to %s (load it in about://tracing or Perfetto)\n" path;
-                        false
-                    | exception Sys_error msg ->
-                        Printf.eprintf "error: cannot write trace: %s\n" msg;
-                        true)
-                | _ -> false
-              in
-              (match prof with
-              | Some p ->
-                  (match hub with Some h -> Profiler.Profile.export p h | None -> ());
-                  if profile then begin
-                    print_newline ();
-                    print_string (Profiler.Profile.render p)
-                  end;
-                  (match profile_folded with
-                  | Some path ->
-                      write_file path (Profiler.Profile.folded_lines p);
-                      Printf.printf "folded stacks written to %s (flamegraph.pl input)\n" path
-                  | None -> ())
-              | None -> ());
-              (match (recorder, record) with
-              | Some rc, Some path ->
-                  Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-                    ~outcome:(outcome_string r.Wasp.Runtime.outcome)
-                    ~return_value:r.Wasp.Runtime.return_value;
-                  write_file path (Profiler.Replay.to_string rc);
-                  Printf.printf "recording written to %s (%d hypercall events)\n" path
-                    (Profiler.Replay.event_count rc)
-              | _ -> ());
-              (match (probes, hub) with
-              | Some e, Some h -> Vtrace.Engine.export e (Telemetry.Hub.metrics h)
-              | _ -> ());
-              emit_probes probes probe_out;
-              (match hub with
-              | Some h when metrics ->
-                  print_newline ();
-                  print_string (Telemetry.Summary.render h);
-                  print_newline ();
-                  print_string (Telemetry.Prometheus.to_text (Telemetry.Hub.metrics h))
-              | _ -> ());
-              (match hub with
-              | Some h when mem_stats -> print_mem_stats h w
-              | _ -> ());
-              (match hub with
-              | Some h when explain_slowest > 0 ->
-                  print_newline ();
-                  print_string
-                    (Profiler.Explain.slowest ~n:explain_slowest ~hub:h
-                       ?flight:(Wasp.Runtime.flight w) ())
-              | _ -> ());
-              (match plan with
-              | Some p ->
-                  Printf.printf "chaos: %d faults injected under plan %s\n"
-                    (Cycles.Fault_plan.total_injected p)
-                    (Cycles.Fault_plan.to_string p)
-              | None -> ());
-              (match r.Wasp.Runtime.outcome with
-              | Wasp.Runtime.Exited code ->
-                  Printf.printf "exited with %Ld  [%.1f us, %d hypercalls, %d denied]\n" code
-                    (Cycles.Clock.to_us (Wasp.Runtime.clock w) r.Wasp.Runtime.cycles)
-                    r.Wasp.Runtime.hypercalls r.Wasp.Runtime.denied;
-                  if trace_write_failed then 1 else 0
-              | Wasp.Runtime.Faulted f ->
-                  Printf.printf "faulted: %s\n"
-                    (Format.asprintf "%a" Vm.Cpu.pp_exit (Vm.Cpu.Fault f));
-                  (match Wasp.Runtime.flight_dump w with
-                  | Some dump ->
-                      print_newline ();
-                      print_string dump
-                  | None -> ());
-                  1
-              | Wasp.Runtime.Fuel_exhausted ->
-                  print_endline "out of fuel";
-                  1))))
+          | Wasp.Runtime.Fuel_exhausted ->
+              print_endline "out of fuel";
+              1)
 
 let () =
   let file = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.vxa") in

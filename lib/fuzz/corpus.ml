@@ -3,8 +3,13 @@
    A case is everything one deterministic invocation needs — exactly
    the environment half of a .vxr recording (image bytes, mode, seed,
    policy, fuel, fault plan), which is why corpus entries and shrunk
-   reproducers are stored AS .vxr files: the corpus is readable by
-   [wasprun --replay], and a fixture needs no second format.
+   reproducers are stored AS .vxr files, seeded by [Replayer.recorder]
+   like every other recording. Fixture replay never turns a recording
+   back into a case: the one replayer ([Replayer.replay], behind both
+   [wasprun --replay] and [fuzz_cli --check-fixtures]) re-executes the
+   recording itself, so a committed fixture may be any
+   [wasprun --record] output, not only a recording whose image name and
+   layout a case would produce.
 
    Three input planes, tagged in the image name so scheduling can pick
    plane-appropriate mutators after a round trip through disk:
@@ -84,38 +89,21 @@ let image_of c : Wasp.Image.t =
 (* ------------------------------------------------------------------ *)
 
 let to_replay c =
-  let r = Profiler.Replay.create () in
-  Profiler.Replay.set_image r ~name:(name c) ~mode:(Vm.Modes.to_string c.mode)
-    ~origin:Wasp.Layout.image_base ~entry:Wasp.Layout.image_base
-    ~mem_size:(mem_size_for c.code) ~code:c.code;
-  Profiler.Replay.set_env r ?fault_plan:c.plan ~seed:c.seed ~policy:(policy_string c)
-    ~fuel:c.fuel ();
-  r
+  Replayer.recorder (image_of c) ~seed:c.seed ~policy:(policy_string c) ~fuel:c.fuel
+    ~plan:c.plan
 
 let of_replay r =
-  match
-    ( Vm.Modes.of_string (Profiler.Replay.mode r),
-      Wasp.Policy.of_string (Profiler.Replay.policy r) )
-  with
-  | None, _ -> Error (Printf.sprintf "unknown mode %S" (Profiler.Replay.mode r))
-  | _, Error e -> Error e
-  | Some mode, Ok policy ->
-      (match Profiler.Replay.fault_plan r with
-      | Some text -> (
-          match Cycles.Fault_plan.of_string text with
-          | Ok _ -> Ok ()
-          | Error e -> Error (Printf.sprintf "bad fault plan: %s" e))
-      | None -> Ok ())
-      |> Result.map (fun () ->
-             {
-               plane = plane_of_name (Profiler.Replay.image_name r);
-               mode;
-               code = Profiler.Replay.code r;
-               seed = Profiler.Replay.seed r;
-               policy;
-               fuel = Profiler.Replay.fuel r;
-               plan = Profiler.Replay.fault_plan r;
-             })
+  Replayer.machine r
+  |> Result.map (fun ((image : Wasp.Image.t), policy, _plan) ->
+         {
+           plane = plane_of_name image.name;
+           mode = image.mode;
+           code = Profiler.Replay.code r;
+           seed = Profiler.Replay.seed r;
+           policy;
+           fuel = Profiler.Replay.fuel r;
+           plan = Profiler.Replay.fault_plan r;
+         })
 
 let to_vxr_string c = Profiler.Replay.to_string (to_replay c)
 

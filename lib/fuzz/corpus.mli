@@ -2,9 +2,10 @@
 
     A case is the environment half of a [.vxr] recording — image bytes,
     mode, seed, policy, fuel and fault plan — so corpus entries and
-    shrunk reproducers are stored {e as} [.vxr] files: every corpus
-    entry is directly replayable with [wasprun --replay], and CI
-    fixtures need no second format. *)
+    shrunk reproducers are stored {e as} [.vxr] files, seeded by
+    {!Replayer.recorder}. Fixture replay does not go through a case:
+    {!Replayer.replay} re-executes the recording itself, so any
+    [wasprun --record] output is a valid fixture. *)
 
 (** The three mutated input planes (see [docs/fuzzing.md]). *)
 type plane =
@@ -48,7 +49,8 @@ val mem_size_for : string -> int
     up when the image would not fit. *)
 
 val to_replay : case -> Profiler.Replay.t
-(** The case as an environment-only recording (no transcript yet). *)
+(** The case as an environment-only recording (no transcript yet),
+    seeded by {!Replayer.recorder}. *)
 
 val of_replay : Profiler.Replay.t -> (case, string) result
 (** Rebuild a case from a parsed recording; validates mode, policy and

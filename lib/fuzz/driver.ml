@@ -64,19 +64,16 @@ let finding_key cls detail =
 let mkdir_p dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
-let write_fixture config (shrunk : Corpus.case) =
-  match config.fixtures_out with
-  | None -> None
-  | Some dir -> (
-      mkdir_p dir;
-      (* the fixture carries the canonical transcript of the shrunk
-         case so CI can diff replays against it *)
-      match (Oracle.classify ?canary:config.canary shrunk).Oracle.recording with
-      | None -> None
-      | Some rc ->
-          let path = Filename.concat dir (Corpus.name shrunk ^ ".vxr") in
-          Profiler.Replay.to_file rc path;
-          Some path)
+(* Write the case's canonical recording (the oracle's canonical arm) as
+   [<dir>/<name>.vxr], so CI can replay it; None if that arm crashed. *)
+let write_fixture ?canary ~dir (case : Corpus.case) =
+  mkdir_p dir;
+  Option.map
+    (fun rc ->
+      let path = Filename.concat dir (Corpus.name case ^ ".vxr") in
+      Profiler.Replay.to_file rc path;
+      path)
+    (Oracle.classify ?canary case).Oracle.recording
 
 let run config : summary =
   let rng = Cycles.Rng.create ~seed:config.seed in
@@ -107,7 +104,10 @@ let run config : summary =
         | None -> false
       in
       let shrunk = Shrink.shrink ~check ~budget:config.shrink_budget case in
-      let path = write_fixture config shrunk in
+      let path =
+        Option.bind config.fixtures_out (fun dir ->
+            write_fixture ?canary:config.canary ~dir shrunk)
+      in
       config.log
         (Printf.sprintf "  shrunk %s: %d -> %d bytes%s" (Corpus.name shrunk)
            (Shrink.size case) (Shrink.size shrunk)
@@ -173,41 +173,18 @@ let run config : summary =
 (* Fixture replay (the CI `fixtures` step)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-execute a recorded fixture on one engine and rebuild the
-   recording; any Replay.diff divergence or byte-level mismatch against
-   the committed file is a failure. *)
-let replay_on ~translate (case : Corpus.case) (recorded : Profiler.Replay.t) =
-  let recorder = Profiler.Replay.create () in
-  match Oracle.run_arm ~translate ~recorder case with
-  | Oracle.Crash d -> Error ("crashed: " ^ d)
-  | Oracle.Obs obs ->
-      let rebuilt = Corpus.to_replay case in
-      List.iter
-        (fun (at, nr, args, ret) -> Profiler.Replay.add_event rebuilt ~at ~nr ~args ~ret)
-        obs.Oracle.o_events;
-      Profiler.Replay.finish rebuilt ~cycles:obs.Oracle.o_cycles
-        ~outcome:(Oracle.coarse_outcome obs.Oracle.o_outcome)
-        ~return_value:obs.Oracle.o_ret;
-      let diffs = Profiler.Replay.diff recorded rebuilt in
-      if diffs <> [] then Error (String.concat "; " diffs)
-      else if
-        Profiler.Replay.to_string rebuilt <> Profiler.Replay.to_string recorded
-      then Error "recording text differs byte-for-byte"
-      else Ok ()
-
+(* A fixture passes when the replayer's verdict holds on both engines. *)
 let check_fixture path =
   match Profiler.Replay.of_file path with
   | Error e -> Error (Printf.sprintf "%s: unparseable: %s" path e)
-  | Ok recorded -> (
-      match Corpus.of_replay recorded with
-      | Error e -> Error (Printf.sprintf "%s: not a fuzz case: %s" path e)
-      | Ok case -> (
-          match replay_on ~translate:false case recorded with
-          | Error e -> Error (Printf.sprintf "%s [interp]: %s" path e)
-          | Ok () -> (
-              match replay_on ~translate:true case recorded with
-              | Error e -> Error (Printf.sprintf "%s [translate]: %s" path e)
-              | Ok () -> Ok path)))
+  | Ok recorded ->
+      let on engine ~translate =
+        Replayer.replay ~translate recorded
+        |> Result.map_error (fun divs ->
+               Printf.sprintf "%s [%s]: %s" path engine (String.concat "; " divs))
+      in
+      Result.bind (on "interp" ~translate:false) (fun () -> on "translate" ~translate:true)
+      |> Result.map (fun () -> path)
 
 (* Replay every committed .vxr on both engines; returns the number that
    passed or the list of divergences. *)
@@ -236,19 +213,10 @@ let check_fixtures ~dir ~log =
    first) into [dir] — the committed reproducer corpus is bootstrapped
    from these even when a campaign finds no real divergence. *)
 let emit_corpus_fixtures ~dir ~n =
-  mkdir_p dir;
   let all = Corpus.seeds () in
   let by_plane =
     List.sort_uniq (fun a b -> compare a.Corpus.plane b.Corpus.plane) all
   in
   let rest = List.filter (fun c -> not (List.memq c by_plane)) all in
   let picks = List.filteri (fun i _ -> i < n) (by_plane @ rest) in
-  List.filter_map
-    (fun case ->
-      match (Oracle.classify case).Oracle.recording with
-      | None -> None
-      | Some rc ->
-          let path = Filename.concat dir (Corpus.name case ^ ".vxr") in
-          Profiler.Replay.to_file rc path;
-          Some path)
-    picks
+  List.filter_map (fun case -> write_fixture ~dir case) picks

@@ -4,7 +4,8 @@
 
     Arms: interpreter vs {!Vm.Translate} (cycle-exact), [`Memcpy] vs
     [`Cow] snapshot restore (guest-visible results; timing excluded by
-    design), a [.vxr] serialize → reparse → re-execute round trip, and
+    design), the canonical recording's [.vxr] text through
+    {!Replayer.replay} (the committed-fixture verdict), and
     host exceptions anywhere. Canaries are deliberately wrong
     harness-side arms used by the fuzz smoke test to prove a planted bug
     is detected. *)
@@ -16,8 +17,9 @@ type obs = {
   o_hypercalls : int;
   o_denied : int;
   o_state : string;  (** MD5 of final registers + guest memory *)
-  o_events : (int64 * int * int64 array * int64) list;
-      (** hypercall transcript: at, nr, args, ret *)
+  o_recording : Profiler.Replay.t;
+      (** the arm's own recording, finished in place: the case header
+          plus the hypercall transcript of every run *)
 }
 
 type fclass =
@@ -47,10 +49,6 @@ type verdict = {
 val coverage_spec : string
 (** The vtrace probe spec attached to the canonical arm. *)
 
-val coarse_outcome : string -> string
-(** Collapse a detailed outcome to the ["exited"]/["faulted"]/["fuel"]
-    form [.vxr] recordings carry. *)
-
 val classify : ?canary:canary -> Corpus.case -> verdict
 (** Run every arm. Deterministic: same case (and canary) → same
     verdict. *)
@@ -67,7 +65,6 @@ val run_arm :
   ?probes:Vtrace.Engine.t ->
   ?profiler:Profiler.Profile.t ->
   ?post:(Wasp.Runtime.t -> unit) ->
-  ?recorder:Profiler.Replay.t ->
   Corpus.case ->
   arm_result
 

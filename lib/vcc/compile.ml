@@ -127,8 +127,11 @@ let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
   Vm.Cpu.set_pc cpu (Asm.lookup asm Vlibc.post_init_label);
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
   Cycles.Clock.advance_int clock Cycles.Costs.function_call;
+  (* one budget for the whole call: each resume gets what is left *)
   let rec loop () =
-    match Vm.Cpu.run ~fuel cpu with
+    match
+      Vm.Cpu.run ~fuel:(fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu)) cpu
+    with
     | Vm.Cpu.Halt -> Vm.Cpu.get_reg cpu 0
     | Vm.Cpu.Io_out { port; value } when port = Wasp.Hc.port ->
         let nr = Int64.to_int value in

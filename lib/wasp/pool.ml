@@ -297,6 +297,13 @@ let take_prewarmed t ~mem_size ~mode =
       Some shell
   | Some _ | None -> None
 
+let create_shell t ~mem_size ~mode =
+  emit t Pool_acquire ~reason:"miss" ~cycles:0L ~nr:mem_size;
+  let vm = Kvmsim.Kvm.create_vm t.sys in
+  let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
+  let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
+  { vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys }
+
 let acquire t ~mem_size ~mode =
   let shard = current_shard t in
   (* A nested span (inside the provision phase) so a traced request can
@@ -336,12 +343,7 @@ let acquire t ~mem_size ~mode =
                    cycles, so the acquire pays only the handoff. *)
                 acquired "prewarm" ~cycles:0L;
                 (shell, true)
-            | None ->
-                acquired "miss" ~cycles:0L;
-                let vm = Kvmsim.Kvm.create_vm t.sys in
-                let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
-                let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
-                ({ vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys }, false)))
+            | None -> (create_shell t ~mem_size ~mode, false)))
   in
   note_size t;
   result

@@ -90,6 +90,12 @@ val acquire : t -> mem_size:int -> mode:Vm.Modes.t -> shell * bool
     remaining clean cost to the current core (a clean stall — still a
     pool hit). *)
 
+val create_shell : t -> mem_size:int -> mode:Vm.Modes.t -> shell
+(** Build a fresh shell on the current core through the full KVM
+    creation path: the miss branch of {!acquire}, announced as its
+    ["pool_acquire"] miss event (so [created] counts it). Exposed for
+    pool-disabled runtimes, whose every shell is a miss. *)
+
 val release : t -> shell -> unit
 (** Clear the shell (memset of the guest region, then reset the dirty
     bitmap) and return it to its home shard. [Sync] charges the memset

@@ -85,7 +85,6 @@ let env t = t.hostenv
 let kvm t = t.sys
 let pool_stats t = Pool.stats t.pool
 let snapshots t = t.snapshot_store
-let drop_snapshot t ~key = Snapshot_store.clear t.snapshot_store ~key
 
 let stats t = t.run_stats
 
@@ -193,22 +192,32 @@ let note_mem_gauges t mem =
 
 let acquire_shell t ~mem_size ~mode =
   if t.pool_enabled then Pool.acquire t.pool ~mem_size ~mode
-  else begin
+  else
     (* Pool-less runtimes still benefit from pipelined pre-boot: a
        pre-built shell replaces the whole creation path with a handoff. *)
     match Pool.take_prewarmed t.pool ~mem_size ~mode with
     | Some shell -> (shell, false)
-    | None ->
-        let stats = Pool.stats t.pool in
-        stats.created <- stats.created + 1;
-        let vm = Kvmsim.Kvm.create_vm t.sys in
-        let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
-        let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
-        ( ({ vm; vcpu; mem; mem_size; home = Kvmsim.Kvm.current_core t.sys } : Pool.shell),
-          false )
-  end
+    | None -> (Pool.create_shell t.pool ~mem_size ~mode, false)
 
 let release_shell t shell = if t.pool_enabled then Pool.release t.pool shell
+
+(* A retained CoW shell is only valid while its key's snapshot exists:
+   one whose snapshot was evicted or dropped goes back through the pool
+   (and is cleaned) instead of booting a cold invocation on dirty
+   memory. *)
+let release_stale_retained t =
+  Hashtbl.filter_map_inplace
+    (fun key shell ->
+      if Snapshot_store.mem t.snapshot_store ~key then Some shell
+      else begin
+        release_shell t shell;
+        None
+      end)
+    t.retained
+
+let drop_snapshot t ~key =
+  Snapshot_store.clear t.snapshot_store ~key;
+  release_stale_retained t
 
 (* Dispatch one hypercall: policy check, then client override or canned
    handler. Returns the value for r0 and whether execution should stop.
@@ -495,7 +504,9 @@ let invoke t ~name ~mem_size ~mode ~snapshot_key ~load ~execute =
      that core's clock), so switch before stamping [start] *)
   let retained_shell =
     match (t.reset, snapshot_key) with
-    | `Cow, Some key -> Hashtbl.find_opt t.retained key
+    | `Cow, Some key ->
+        release_stale_retained t;
+        Hashtbl.find_opt t.retained key
     | (`Cow | `Memcpy), _ -> None
   in
   (match retained_shell with

@@ -8,7 +8,10 @@
     on the attached hub:
 
     + [provision]: take the shell retained for the snapshot key ([`Cow]
-      reset) or one from the shell pool, creating it on a miss;
+      reset) or one from the shell pool, creating it on a miss. A
+      retained shell lives only while its key's snapshot does: one whose
+      snapshot was evicted or dropped is released to the pool (and
+      cleaned) before the invocation starts;
     + [snapshot_restore] (args [key], [kind] = [cow] / [memcpy] /
       [lazy]) when the key has a captured snapshot, otherwise the
       payload's load ([image_load] for images) and [boot];
@@ -103,7 +106,8 @@ val pool_stats : t -> Pool.stats
 val snapshots : t -> Snapshot_store.t
 
 val drop_snapshot : t -> key:string -> unit
-(** Forget a captured snapshot (e.g. the image changed). *)
+(** Forget a captured snapshot (e.g. the image changed); a [`Cow] shell
+    retained for it goes back to the pool and is cleaned. *)
 
 type run_stats = {
   mutable invocations : int;
@@ -148,8 +152,9 @@ val profiler : t -> Profiler.Profile.t option
 val set_recorder : t -> Profiler.Replay.t option -> unit
 (** Attach a replay recorder: each hypercall the runtime dispatches is
     appended as a cycle-stamped transcript event. The caller seeds the
-    recording ({!Profiler.Replay.set_image}/[set_env]) and finalizes it
-    ([finish]) around the invocation. *)
+    recording ({!Profiler.Replay.set_image}/[set_env]; every recording
+    path in this repository does it through [Fuzz.Replayer.recorder])
+    and finalizes it ([finish]) around the invocation. *)
 
 val recorder : t -> Profiler.Replay.t option
 

@@ -264,6 +264,47 @@ let canaries_detected () =
           (Fuzz.Oracle.canary_name canary))
     [ Fuzz.Oracle.Shift_mask; Fuzz.Oracle.Cycle_skew ]
 
+(* The replayer's verdict does not depend on the recording being a fuzz
+   case: a recording made the way [wasprun --record] makes one replays
+   clean on both engines, and a tampered one is rejected. *)
+let replayer_verdict () =
+  let image = Wasp.Image.of_asm_string ~name:"wasprun" "mov r1, 7\nmov r0, 0\nout 1, r0" in
+  let w = Wasp.Runtime.create ~seed:0xACE () in
+  let rc =
+    Fuzz.Replayer.recorder image ~seed:0xACE ~policy:"deny_all" ~fuel:10_000 ~plan:None
+  in
+  Wasp.Runtime.set_recorder w (Some rc);
+  Fuzz.Replayer.finish rc (Wasp.Runtime.run w image ~fuel:10_000 ());
+  let verdict rc translate =
+    match Fuzz.Replayer.replay ~translate rc with Ok () -> [] | Error ds -> ds
+  in
+  Alcotest.(check (list string)) "interpreter" [] (verdict rc false);
+  Alcotest.(check (list string)) "translator" [] (verdict rc true);
+  Profiler.Replay.finish rc ~cycles:(Profiler.Replay.total_cycles rc)
+    ~outcome:(Profiler.Replay.outcome rc) ~return_value:8L;
+  Alcotest.(check (list string))
+    "tampered return value" [ "return value: 8 vs 7" ] (verdict rc false)
+
+(* An armed provision_fail is an outcome on every path: the oracle sees
+   no finding, and its canonical recording (faulted at cycle 0) passes
+   the replayer's verdict on both engines. *)
+let provision_fail_fixture_replays () =
+  let case =
+    { (List.hd (Fuzz.Corpus.seeds ())) with Fuzz.Corpus.plan = Some "seed=0x1;provision_fail=@0+1" }
+  in
+  let v = Fuzz.Oracle.classify case in
+  Alcotest.(check (option (pair fclass string))) "no finding" None v.Fuzz.Oracle.finding;
+  match v.Fuzz.Oracle.recording with
+  | None -> Alcotest.fail "no canonical recording"
+  | Some rc ->
+      Alcotest.(check string) "faulted" "faulted" (Profiler.Replay.outcome rc);
+      List.iter
+        (fun translate ->
+          Alcotest.(check (result unit (list string)))
+            "replays" (Ok ())
+            (Fuzz.Replayer.replay ~translate rc))
+        [ false; true ]
+
 let mutation_deterministic () =
   let seed_case = List.hd (Fuzz.Corpus.seeds ()) in
   let mutants rng_seed =
@@ -317,6 +358,9 @@ let () =
           Alcotest.test_case "campaign is a function of its seed" `Quick
             campaign_deterministic;
           Alcotest.test_case "mutation stream is seeded" `Quick mutation_deterministic;
+          Alcotest.test_case "replayer verdict" `Quick replayer_verdict;
+          Alcotest.test_case "provision_fail fixture replays" `Quick
+            provision_fail_fixture_replays;
           Alcotest.test_case "ring mutants keep the trampoline" `Quick
             ring_mutants_keep_trampoline;
         ] );

@@ -282,21 +282,9 @@ let test_flight_wraparound_keeps_stamps () =
 let record_invocation ?(seed = 0xACE) () =
   let img = fib_image () in
   let w = Wasp.Runtime.create ~seed () in
-  let rc = Profiler.Replay.create () in
-  Profiler.Replay.set_image rc ~name:img.Wasp.Image.name
-    ~mode:(Vm.Modes.to_string img.Wasp.Image.mode) ~origin:img.Wasp.Image.origin
-    ~entry:img.Wasp.Image.entry ~mem_size:img.Wasp.Image.mem_size
-    ~code:(Bytes.to_string img.Wasp.Image.code);
-  Profiler.Replay.set_env rc ~seed ~policy:"deny_all" ~fuel:1_000_000 ();
+  let rc = Fuzz.Replayer.recorder img ~seed ~policy:"deny_all" ~fuel:1_000_000 ~plan:None in
   Wasp.Runtime.set_recorder w (Some rc);
-  let r = Wasp.Runtime.run w img ~fuel:1_000_000 () in
-  Profiler.Replay.finish rc ~cycles:r.Wasp.Runtime.cycles
-    ~outcome:
-      (match r.Wasp.Runtime.outcome with
-      | Wasp.Runtime.Exited _ -> "exited"
-      | Wasp.Runtime.Faulted _ -> "faulted"
-      | Wasp.Runtime.Fuel_exhausted -> "fuel")
-    ~return_value:r.Wasp.Runtime.return_value;
+  Fuzz.Replayer.finish rc (Wasp.Runtime.run w img ~fuel:1_000_000 ());
   rc
 
 let test_replay_zero_divergence () =
@@ -375,44 +363,14 @@ let pre_refactor_vxr =
 let test_replay_pre_refactor_fixture () =
   match Profiler.Replay.of_string pre_refactor_vxr with
   | Error m -> Alcotest.fail ("fixture failed to parse: " ^ m)
-  | Ok recorded ->
-      let image : Wasp.Image.t =
-        {
-          name = Profiler.Replay.image_name recorded;
-          code = Bytes.of_string (Profiler.Replay.code recorded);
-          origin = Profiler.Replay.origin recorded;
-          entry = Profiler.Replay.entry recorded;
-          mode = Vm.Modes.Long;
-          mem_size = Profiler.Replay.mem_size recorded;
-          symbols = [];
-        }
-      in
-      let w = Wasp.Runtime.create ~seed:(Profiler.Replay.seed recorded) () in
-      let fresh = Profiler.Replay.create () in
-      Profiler.Replay.set_image fresh ~name:image.name
-        ~mode:(Vm.Modes.to_string image.mode) ~origin:image.origin
-        ~entry:image.entry ~mem_size:image.mem_size
-        ~code:(Bytes.to_string image.code);
-      Profiler.Replay.set_env fresh
-        ~seed:(Profiler.Replay.seed recorded)
-        ~policy:(Profiler.Replay.policy recorded)
-        ~fuel:(Profiler.Replay.fuel recorded) ();
-      Wasp.Runtime.set_recorder w (Some fresh);
-      let r =
-        Wasp.Runtime.run w image ~policy:(Wasp.Policy.Mask 0L)
-          ~fuel:(Profiler.Replay.fuel recorded) ()
-      in
-      Profiler.Replay.finish fresh ~cycles:r.Wasp.Runtime.cycles
-        ~outcome:
-          (match r.Wasp.Runtime.outcome with
-          | Wasp.Runtime.Exited _ -> "exited"
-          | Wasp.Runtime.Faulted _ -> "faulted"
-          | Wasp.Runtime.Fuel_exhausted -> "fuel")
-        ~return_value:r.Wasp.Runtime.return_value;
-      Alcotest.(check (list string)) "pre-refactor recording replays clean" []
-        (Profiler.Replay.diff recorded fresh);
-      Alcotest.(check int64) "cycle total preserved across the refactor" 365944L
-        r.Wasp.Runtime.cycles
+  | Ok recorded -> (
+      match Fuzz.Replayer.execute ~translate:true recorded with
+      | Error m -> Alcotest.fail ("fixture failed to load: " ^ m)
+      | Ok { Fuzz.Replayer.recording = fresh; _ } ->
+          Alcotest.(check (list string)) "pre-refactor recording replays clean" []
+            (Profiler.Replay.diff recorded fresh);
+          Alcotest.(check int64) "cycle total preserved across the refactor" 365944L
+            (Profiler.Replay.total_cycles fresh))
 
 let test_image_matches () =
   let rc = record_invocation () in

@@ -429,22 +429,12 @@ let record_chaos plan =
   let img = fib_image () in
   let w = R.create ~seed () in
   R.set_fault_plan w (Some plan);
-  let rc = Profiler.Replay.create () in
-  Profiler.Replay.set_image rc ~name:img.Wasp.Image.name
-    ~mode:(Vm.Modes.to_string img.Wasp.Image.mode) ~origin:img.Wasp.Image.origin
-    ~entry:img.Wasp.Image.entry ~mem_size:img.Wasp.Image.mem_size
-    ~code:(Bytes.to_string img.Wasp.Image.code);
-  Profiler.Replay.set_env rc ~fault_plan:(FP.to_string plan) ~seed ~policy:"deny_all"
-    ~fuel:1_000_000 ();
+  let rc =
+    Fuzz.Replayer.recorder img ~seed ~policy:"deny_all" ~fuel:1_000_000
+      ~plan:(Some (FP.to_string plan))
+  in
   R.set_recorder w (Some rc);
-  let r = R.run w img ~fuel:1_000_000 () in
-  Profiler.Replay.finish rc ~cycles:r.R.cycles
-    ~outcome:
-      (match r.R.outcome with
-      | R.Exited _ -> "exited"
-      | R.Faulted _ -> "faulted"
-      | R.Fuel_exhausted -> "fuel")
-    ~return_value:r.R.return_value;
+  Fuzz.Replayer.finish rc (R.run w img ~fuel:1_000_000 ());
   rc
 
 (* ------------------------------------------------------------------ *)
@@ -554,20 +544,10 @@ let test_chaos_vxr_zero_divergence () =
   let p = plan () in
   let a = record_chaos p in
   Alcotest.(check bool) "faults were injected" true (FP.total_injected p > 0);
-  (* re-arm from the recording's own textual plan, as --replay does *)
-  let recorded =
-    match Profiler.Replay.fault_plan a with
-    | Some text -> text
-    | None -> Alcotest.fail "recording lost its fault plan"
-  in
-  let q =
-    match FP.of_string recorded with
-    | Ok q -> q
-    | Error e -> Alcotest.failf "recorded plan unparseable: %s" e
-  in
-  let b = record_chaos q in
-  Alcotest.(check (list string)) "chaos replay is cycle-for-cycle" []
-    (Profiler.Replay.diff a b)
+  (* the replayer re-arms the recording's own textual plan *)
+  Alcotest.(check (result unit (list string)))
+    "chaos replay is cycle-for-cycle" (Ok ())
+    (Fuzz.Replayer.replay ~translate:true a)
 
 let () =
   Alcotest.run "supervisor"

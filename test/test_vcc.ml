@@ -614,6 +614,23 @@ let test_virtine_mode_boot_cost_ordering () =
     (Printf.sprintf "protected %Ld < long %Ld" prot long)
     true (prot < long)
 
+let test_native_fuel_spans_exits () =
+  (* the budget covers the whole call, not each stretch between exits:
+     2000 puts exits cannot reset it *)
+  let src =
+    {|virtine int spin(int n) { int i = 0; while (i < n) { puts("x"); i++; } return i; }|}
+  in
+  let c = compile src in
+  (match
+     Vcc.Compile.invoke_native ~clock:(Cycles.Clock.create ()) c "spin" [ 2000L ]
+       ~fuel:5_000 ()
+   with
+  | exception Vcc.Compile.Compile_error msg ->
+      Alcotest.(check string) "out of fuel" "native execution of spin ran out of fuel" msg
+  | v -> Alcotest.failf "spin(2000) returned %Ld on a 5000-instruction budget" v);
+  let r = Vcc.Compile.invoke (R.create ()) c "spin" [ 2000L ] ~fuel:5_000 () in
+  Alcotest.(check bool) "the virtine agrees" true (r.R.outcome = R.Fuel_exhausted)
+
 let test_invoke_non_virtine_raises () =
   let c = compile "int f() { return 1; }" in
   let w = R.create () in
@@ -673,6 +690,7 @@ let () =
           Alcotest.test_case "increment" `Quick test_exec_increment;
           Alcotest.test_case "if/else" `Quick test_exec_if_else;
           Alcotest.test_case "while" `Quick test_exec_while;
+          Alcotest.test_case "fuel spans exits" `Quick test_native_fuel_spans_exits;
           Alcotest.test_case "for/break/continue" `Quick test_exec_for_break_continue;
           Alcotest.test_case "recursion (fib)" `Quick test_exec_recursion_fib;
           Alcotest.test_case "mutual recursion" `Quick test_exec_mutual_recursion;

@@ -342,6 +342,22 @@ let test_pool_disabled () =
   Alcotest.(check bool) "never from pool" false r2.from_pool;
   Alcotest.(check int) "two creations" 2 (R.pool_stats w).created
 
+let test_pool_disabled_counts_misses () =
+  (* every pool-less shell is a miss through the pool's own event, so
+     the counter and the stats fold agree *)
+  let w = R.create ~pool:false () in
+  let hub = Telemetry.Hub.create ~clock:(R.clock w) () in
+  R.set_telemetry w (Some hub);
+  for _ = 1 to 3 do
+    ignore (R.run w hlt_image ())
+  done;
+  let created = (R.pool_stats w).created in
+  Alcotest.(check int) "three creations" 3 created;
+  match Telemetry.Metrics.find (Telemetry.Hub.metrics hub) "wasp_pool_misses_total" with
+  | Some (Telemetry.Metrics.Counter c) ->
+      Alcotest.(check int) "misses = created" created c.Telemetry.Metrics.c_value
+  | _ -> Alcotest.fail "no wasp_pool_misses_total counter"
+
 let test_pool_clean_no_leak () =
   (* A virtine writes a secret into memory; the next virtine in the same
      shell must not be able to read it (§3.1 data secrecy). *)
@@ -604,6 +620,24 @@ let test_cow_retains_shell () =
   let stats = R.pool_stats w in
   Alcotest.(check int) "one shell ever created" 1 stats.Wasp.Pool.created
 
+let test_cow_shell_outlives_no_snapshot () =
+  (* a retained shell is only reused while its key's snapshot exists:
+     after the snapshot is evicted (capacity 1) or dropped, the cold boot
+     must run on a cleaned shell, where [0xE000] reads 0 again *)
+  let img =
+    Wasp.Image.of_asm_string ~name:"stale"
+      "mov r0, 6\nout 1, r0\nmov r2, 0xE000\nld64 r1, [r2]\nst64 [r2], 1234\nmov r0, 0\nout 1, r0"
+  in
+  let run reset =
+    let w = R.create ~reset ~snapshot_capacity:1 () in
+    let go key = (R.run w img ~policy:snap_policy ~snapshot_key:key ()).R.return_value in
+    let evicted = List.map go [ "a"; "a"; "b"; "a" ] in
+    R.drop_snapshot w ~key:"a";
+    evicted @ [ go "a" ]
+  in
+  Alcotest.(check (list int64)) "memcpy" [ 0L; 0L; 0L; 0L; 0L ] (run `Memcpy);
+  Alcotest.(check (list int64)) "cow == memcpy" (run `Memcpy) (run `Cow)
+
 (* ------------------------------------------------------------------ *)
 (* Paged snapshots: footprints, store bounds, O(dirty) restores         *)
 (* ------------------------------------------------------------------ *)
@@ -851,6 +885,8 @@ let () =
           Alcotest.test_case "reuse" `Quick test_pool_reuse;
           Alcotest.test_case "reuse cheaper" `Quick test_pool_reuse_is_cheaper;
           Alcotest.test_case "disabled" `Quick test_pool_disabled;
+          Alcotest.test_case "disabled counts misses" `Quick
+            test_pool_disabled_counts_misses;
           Alcotest.test_case "no data leak across reuse" `Quick test_pool_clean_no_leak;
           Alcotest.test_case "async clean background" `Quick test_async_clean_charges_background;
           Alcotest.test_case "async faster" `Quick test_async_clean_faster_invocations;
@@ -876,6 +912,8 @@ let () =
           Alcotest.test_case "no leak between invocations" `Quick
             test_cow_no_leak_between_invocations;
           Alcotest.test_case "retains shell" `Quick test_cow_retains_shell;
+          Alcotest.test_case "no retained shell without its snapshot" `Quick
+            test_cow_shell_outlives_no_snapshot;
           Alcotest.test_case "cow via compiler" `Quick test_cow_via_compiler;
           Alcotest.test_case "cow native payload" `Quick test_cow_native_payload;
         ] );
