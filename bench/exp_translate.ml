@@ -7,9 +7,9 @@
    retired instructions, simulated cycles per engine, the divergence
    count, translated superblock counts (per kernel, and per cold
    invocation through Wasp.Runtime). Wall-clock speedup depends on the
-   host machine, so it is printed as an ungated note plus the
-   TRANSLATE-SMOKE marker line that the translate smoke in bin/dune
-   greps. *)
+   host machine and allocation per instruction on the build, so both
+   are printed as ungated notes, plus the TRANSLATE-SMOKE marker line
+   that the translate smoke in bin/dune greps. *)
 
 let origin = 0x8000
 
@@ -65,6 +65,7 @@ type outcome = {
   retired : int64;
   cycles : int64;
   wall : float;
+  words : float;  (* minor-heap words allocated by the run *)
   superblocks : int;
 }
 
@@ -84,15 +85,18 @@ let exec engine src =
         ( (fun () -> Vm.Translate.run tr),
           fun () -> (Vm.Translate.stats tr).Vm.Translate.blocks_translated )
   in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let exit = run () in
   let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
   {
     exit = Format.asprintf "%a" Vm.Cpu.pp_exit exit;
     regs = Array.init 16 (Vm.Cpu.get_reg cpu);
     retired = Vm.Cpu.instructions_retired cpu;
     cycles = Cycles.Clock.now clock;
     wall;
+    words;
     superblocks = superblocks ();
   }
 
@@ -198,6 +202,14 @@ let run () =
     (fun (name, i, t, _) ->
       Bench_util.note "%s: interp %.3fs, translated %.3fs (%.1fx wall-clock)" name
         i.wall t.wall (i.wall /. t.wall))
+    measured;
+  (* host allocation per retired instruction: deterministic for a fixed
+     binary, but a property of the build, not of the simulation *)
+  List.iter
+    (fun (name, i, t, _) ->
+      let per o = o.words /. Int64.to_float o.retired in
+      Bench_util.note "%s: interp %.2f words/instr, translated %.3f words/instr" name
+        (per i) (per t))
     measured;
   let total_div = List.fold_left (fun acc (_, _, _, d) -> acc + d) 0 measured in
   (* marker speedup: the decode-dominated loop, the workload the cache

@@ -14,10 +14,12 @@ val now : t -> int64
 (** Current cycle count. *)
 
 val advance : t -> int64 -> unit
-(** [advance t c] moves time forward by [c] cycles. [c] must be >= 0. *)
+(** [advance t c] moves time forward by [c] cycles. Raises
+    [Invalid_argument] if [c] is negative or the count would pass
+    [max_int] (2{^62} - 1 cycles, over 50 years at 2.69 GHz). *)
 
 val advance_int : t -> int -> unit
-(** Convenience wrapper over {!advance}. *)
+(** {!advance} for a native int; allocation-free. *)
 
 val freq_ghz : t -> float
 

@@ -127,10 +127,11 @@ let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
   Vm.Cpu.set_pc cpu (Asm.lookup asm Vlibc.post_init_label);
   Vm.Cpu.set_sp cpu Wasp.Layout.stack_top;
   Cycles.Clock.advance_int clock Cycles.Costs.function_call;
+  let engine = Vm.Translate.create cpu in
   (* one budget for the whole call: each resume gets what is left *)
   let rec loop () =
     match
-      Vm.Cpu.run ~fuel:(fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu)) cpu
+      Vm.Translate.run ~fuel:(fuel - Int64.to_int (Vm.Cpu.instructions_retired cpu)) engine
     with
     | Vm.Cpu.Halt -> Vm.Cpu.get_reg cpu 0
     | Vm.Cpu.Io_out { port; value } when port = Wasp.Hc.port ->
@@ -154,4 +155,6 @@ let invoke_native ~clock c fname args ?(fuel = 500_000_000) () =
     | Vm.Cpu.Out_of_fuel ->
         raise (Compile_error (Printf.sprintf "native execution of %s ran out of fuel" fname))
   in
-  loop ()
+  (* the process's memory dies with the call: hand its private pages to
+     the recycle list for the next call *)
+  Fun.protect ~finally:(fun () -> Vm.Memory.reset_zero mem) loop

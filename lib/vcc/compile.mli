@@ -61,6 +61,9 @@ val invoke :
 
 val invoke_native :
   clock:Cycles.Clock.t -> compiled -> string -> int64 list -> ?fuel:int -> unit -> int64
-(** Run the same function natively (bare CPU, no virtualization). Any
-    function of the program (annotated or not) can be called; cycles are
-    charged to [clock]. Raises [Compile_error] if the guest faults. *)
+(** Run the same function natively (bare CPU, no virtualization) on the
+    translating engine ({!Vm.Translate}), which charges exactly the
+    interpreter's cycles. Any function of the program (annotated or not)
+    can be called; cycles are charged to [clock]. [fuel] bounds the whole
+    call across its exits. Raises [Compile_error] if the guest faults or
+    runs out of fuel. *)

@@ -24,15 +24,28 @@ let pp_exit ppf = function
   | Fault f -> Format.fprintf ppf "fault: %a" pp_fault f
   | Out_of_fuel -> Format.pp_print_string ppf "out of fuel"
 
+(* The register file is one [Bytes]: register [r] is the native-endian
+   int64 at byte offset [slot r], read and written with the
+   bounds-checked primitives, so a register never exists as a boxed
+   value on the hot path. One scratch slot follows the architectural
+   registers: [pop] loads through it (so [pop sp] ends with the popped
+   value, not the incremented sp) and immediates stage there for the
+   shared store/push paths. *)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let slot r = r lsl 3
+let scratch = slot Instr.num_regs
+
 type t = {
   memory : Memory.t;
   mutable cpu_mode : Modes.t;
   clock : Cycles.Clock.t;
-  regs : int64 array;
+  regs : Bytes.t;
   mutable pc : int;
   mutable signed_cmp : int;
   mutable unsigned_cmp : int;
-  mutable retired : int64;
+  mutable retired : int;
   mutable step_hook : (pc:int -> instr:Instr.t -> cost:int -> unit) option;
 }
 
@@ -43,36 +56,39 @@ let create ~mem ~mode ~clock =
     memory = mem;
     cpu_mode = mode;
     clock;
-    regs = Array.make Instr.num_regs 0L;
+    regs = Bytes.make (scratch + 8) '\000';
     pc = 0;
     signed_cmp = 0;
     unsigned_cmp = 0;
-    retired = 0L;
+    retired = 0;
     step_hook = None;
   }
 
 let mem t = t.memory
 let mode t = t.cpu_mode
 
-let get_reg t r = t.regs.(r)
-let set_reg t r v = t.regs.(r) <- Modes.mask t.cpu_mode v
+(* every register write goes through here: values are invariantly
+   mode-masked *)
+let[@inline] set_slot t o v = set64 t.regs o (Int64.logand v (Modes.mask_bits t.cpu_mode))
+let get_reg t r = get64 t.regs (slot r)
+let set_reg t r v = set_slot t (slot r) v
 
 let pc t = t.pc
 let set_pc t pc = t.pc <- pc
 let set_sp t sp = set_reg t Instr.sp (Int64.of_int sp)
 
-let instructions_retired t = t.retired
+let instructions_retired t = Int64.of_int t.retired
 
 let set_step_hook t hook = t.step_hook <- Some hook
 let clear_step_hook t = t.step_hook <- None
 
 let reset t ~mode =
   t.cpu_mode <- mode;
-  Array.fill t.regs 0 Instr.num_regs 0L;
+  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
   t.pc <- 0;
   t.signed_cmp <- 0;
   t.unsigned_cmp <- 0;
-  t.retired <- 0L
+  t.retired <- 0
 
 (* Address check: guest RAM bounds are enforced by Memory; the mode's
    architectural limit (1 MB real, 4 GB protected, 1 GB mapped in long
@@ -90,28 +106,49 @@ let check_range t addr size =
     | Modes.Real | Modes.Protected -> raise (Vm_fault (Memory_oob { addr; size }))
   end
 
-let read_mem t width addr : int64 =
-  let size = Instr.bytes_of_width width in
-  check_range t addr size;
-  match width with
-  | Instr.W8 -> Int64.of_int (Memory.read_u8 t.memory addr)
-  | Instr.W16 -> Int64.of_int (Memory.read_u16 t.memory addr)
-  | Instr.W32 -> Int64.of_int (Memory.read_u32 t.memory addr)
-  | Instr.W64 -> Memory.read_u64 t.memory addr
+(* Loads and stores move values between guest pages and register slots
+   directly; a fault leaves every register untouched. *)
+let load t w o addr =
+  check_range t addr (Instr.bytes_of_width w);
+  match w with
+  | Instr.W8 -> set_slot t o (Int64.of_int (Memory.read_u8 t.memory addr))
+  | Instr.W16 -> set_slot t o (Int64.of_int (Memory.read_u16 t.memory addr))
+  | Instr.W32 -> set_slot t o (Int64.of_int (Memory.read_u32 t.memory addr))
+  | Instr.W64 ->
+      Memory.read_u64_into t.memory addr t.regs o;
+      set_slot t o (get64 t.regs o)
 
-let write_mem t width addr (v : int64) =
-  let size = Instr.bytes_of_width width in
-  check_range t addr size;
-  match width with
-  | Instr.W8 -> Memory.write_u8 t.memory addr (Int64.to_int (Int64.logand v 0xFFL))
-  | Instr.W16 -> Memory.write_u16 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFL))
+let store t w addr src o =
+  check_range t addr (Instr.bytes_of_width w);
+  match w with
+  | Instr.W8 -> Memory.write_u8 t.memory addr (Int64.to_int (get64 src o) land 0xFF)
+  | Instr.W16 -> Memory.write_u16 t.memory addr (Int64.to_int (get64 src o) land 0xFFFF)
   | Instr.W32 ->
-      Memory.write_u32 t.memory addr (Int64.to_int (Int64.logand v 0xFFFFFFFFL))
-  | Instr.W64 -> Memory.write_u64 t.memory addr v
+      Memory.write_u32 t.memory addr (Int64.to_int (get64 src o) land 0xFFFFFFFF)
+  | Instr.W64 -> Memory.write_u64_from t.memory addr src o
 
-let operand_value t : Instr.operand -> int64 = function
-  | Reg r -> t.regs.(r)
-  | Imm i -> Modes.mask t.cpu_mode i
+let sp_value t = Int64.to_int (get64 t.regs (slot Instr.sp))
+
+let push t src o =
+  let sp = sp_value t - 8 in
+  store t Instr.W64 sp src o;
+  set_slot t (slot Instr.sp) (Int64.of_int sp)
+
+let pop t o =
+  let sp = sp_value t in
+  load t Instr.W64 scratch sp;
+  set_slot t (slot Instr.sp) (Int64.of_int (sp + 8));
+  set64 t.regs o (get64 t.regs scratch)
+
+(* An immediate operand stages in the scratch slot; returns the
+   operand's slot offset. *)
+let operand_slot t : Instr.operand -> int = function
+  | Reg r -> slot r
+  | Imm i ->
+      set_slot t scratch i;
+      scratch
+
+let operand_value t (src : Instr.operand) = get64 t.regs (operand_slot t src)
 
 (* Hardware masks shift counts to the operand width: 0..31 outside long
    mode, 0..63 in it. A single 63 mask let real/protected guests observe
@@ -149,28 +186,19 @@ let eval_cond t : Instr.cond -> bool = function
   | Ugt -> t.unsigned_cmp > 0
   | Uge -> t.unsigned_cmp >= 0
 
-let push t v =
-  let sp = Int64.to_int t.regs.(Instr.sp) - 8 in
-  write_mem t Instr.W64 sp v;
-  set_reg t Instr.sp (Int64.of_int sp)
-
-let pop t =
-  let sp = Int64.to_int t.regs.(Instr.sp) in
-  let v = read_mem t Instr.W64 sp in
-  set_reg t Instr.sp (Int64.of_int (sp + 8));
-  v
-
-(* Indirect branch targets (callr/ret) truncate to the mode width like
-   every architectural register write; a 32-bit-mode guest with a stale
-   high half lands at the masked address, it does not escape to a
-   truncated host-int one. A long-mode value still exceeding the host
-   int range clamps to the architectural limit so the next fetch faults
-   there — the same fault [Jmp] to an out-of-range target takes. *)
-let branch_target t v =
-  let v = Modes.mask t.cpu_mode v in
-  if Int64.unsigned_compare v (Int64.of_int max_int) > 0 then
-    Modes.address_limit t.cpu_mode
-  else Int64.to_int v
+(* Indirect branch targets (callr/ret) are register values, already
+   truncated to the mode width like every architectural register write;
+   a 32-bit-mode guest with a stale high half lands at the masked
+   address, it does not escape to a truncated host-int one. A long-mode
+   value still exceeding the host int range clamps to the architectural
+   limit so the next fetch faults there — the same fault [Jmp] to an
+   out-of-range target takes. *)
+let jump_slot t o =
+  let v = get64 t.regs o in
+  t.pc <-
+    (if Int64.unsigned_compare v (Int64.of_int max_int) > 0 then
+       Modes.address_limit t.cpu_mode
+     else Int64.to_int v)
 
 let fetch t =
   let read_byte a =
@@ -180,11 +208,17 @@ let fetch t =
   try Encoding.decode read_byte t.pc with
   | Encoding.Decode_error { addr; msg } -> raise (Vm_fault (Invalid_opcode { addr; msg }))
 
+(* the return address is a pc, pushed unmasked: a real-mode pc can
+   exceed 16 bits *)
+let push_return t next =
+  set64 t.regs scratch (Int64.of_int next);
+  push t t.regs scratch
+
 let step_inner t start_pc : exit_reason option =
   let instr, size = fetch t in
   let cost = Instr.cost instr in
   Cycles.Clock.advance_int t.clock cost;
-  t.retired <- Int64.add t.retired 1L;
+  t.retired <- t.retired + 1;
   (match t.step_hook with Some h -> h ~pc:start_pc ~instr ~cost | None -> ());
   let next = start_pc + size in
   t.pc <- next;
@@ -195,16 +229,16 @@ let step_inner t start_pc : exit_reason option =
       set_reg t rd (operand_value t src);
       None
   | Bin (op, rd, src) ->
-      set_reg t rd (eval_binop t op t.regs.(rd) (operand_value t src) start_pc);
+      set_reg t rd (eval_binop t op (get_reg t rd) (operand_value t src) start_pc);
       None
   | Neg rd ->
-      set_reg t rd (Int64.neg (Modes.sext t.cpu_mode t.regs.(rd)));
+      set_reg t rd (Int64.neg (Modes.sext t.cpu_mode (get_reg t rd)));
       None
   | Not rd ->
-      set_reg t rd (Int64.lognot t.regs.(rd));
+      set_reg t rd (Int64.lognot (get_reg t rd));
       None
   | Cmp (r, src) ->
-      let l = t.regs.(r) and rv = operand_value t src in
+      let l = get_reg t r and rv = operand_value t src in
       t.signed_cmp <- Int64.compare (Modes.sext t.cpu_mode l) (Modes.sext t.cpu_mode rv);
       t.unsigned_cmp <- Int64.unsigned_compare l rv;
       None
@@ -215,34 +249,34 @@ let step_inner t start_pc : exit_reason option =
       if eval_cond t c then t.pc <- a;
       None
   | Call a ->
-      push t (Int64.of_int next);
+      push_return t next;
       t.pc <- a;
       None
   | Callr r ->
-      push t (Int64.of_int next);
+      push_return t next;
       (* read the register after the push: callr through sp must see the
          post-push stack pointer, exactly like hardware *)
-      t.pc <- branch_target t t.regs.(r);
+      jump_slot t (slot r);
       None
   | Ret ->
-      t.pc <- branch_target t (pop t);
+      pop t scratch;
+      jump_slot t scratch;
       None
   | Push src ->
-      push t (operand_value t src);
+      push t t.regs (operand_slot t src);
       None
   | Pop rd ->
-      set_reg t rd (pop t);
+      pop t (slot rd);
       None
   | Load (w, rd, rb, d) ->
-      let addr = Int64.to_int t.regs.(rb) + d in
-      set_reg t rd (read_mem t w addr);
+      load t w (slot rd) (Int64.to_int (get_reg t rb) + d);
       None
   | Store (w, rb, d, src) ->
-      let addr = Int64.to_int t.regs.(rb) + d in
-      write_mem t w addr (operand_value t src);
+      let addr = Int64.to_int (get_reg t rb) + d in
+      store t w addr t.regs (operand_slot t src);
       None
   | Lea (rd, rb, d) ->
-      set_reg t rd (Int64.add t.regs.(rb) (Int64.of_int d));
+      set_reg t rd (Int64.add (get_reg t rb) (Int64.of_int d));
       None
   | Out (port, src) -> Some (Io_out { port; value = operand_value t src })
   | In (rd, port) -> Some (Io_in { port; reg = rd })
@@ -286,7 +320,7 @@ let set_cmp t ~signed ~unsigned =
   t.signed_cmp <- signed;
   t.unsigned_cmp <- unsigned
 
-let add_retired t n = t.retired <- Int64.add t.retired (Int64.of_int n)
+let add_retired t n = t.retired <- t.retired + n
 
 (* Decode one instruction at [pc] without perturbing machine state:
    faults during the fetch (out-of-range pc, truncated or invalid

@@ -78,9 +78,24 @@ val step : t -> exit_reason option
     to the faulting instruction. *)
 
 val clock : t -> Cycles.Clock.t
-val regs : t -> int64 array
-(** The live register file. Values are invariantly mode-masked; writers
-    must store masked values (or use {!set_reg}). *)
+
+val regs : t -> Bytes.t
+(** The live register file: register [r] is the native-endian int64 at
+    byte offset [slot r] (read it with {!get64}), followed by one
+    {!scratch} slot. Values are invariantly mode-masked; writers must
+    store masked values (or use {!set_reg}). *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+(** Bounds-checked native-endian access; ocamlopt keeps the value
+    unboxed between them. *)
+
+val slot : Instr.reg -> int
+(** Byte offset of a register in {!regs}. *)
+
+val scratch : int
+(** Byte offset of the scratch slot in {!regs}: {!pop} loads through it,
+    and the interpreter stages immediates there. *)
 
 val has_step_hook : t -> bool
 
@@ -90,25 +105,33 @@ val set_cmp : t -> signed:int -> unsigned:int -> unit
 val add_retired : t -> int -> unit
 (** Credit [n] retired instructions (batched by translated blocks). *)
 
-val check_range : t -> int -> int -> unit
-(** [check_range t addr size] faults (mode-dependently) when the access
-    crosses the architectural limit. Overflow-safe. *)
+(** The memory operations take register-file offsets, never int64
+    values, so a value moves between guest pages and registers without
+    being boxed. Each checks the mode's address limit first and faults
+    without changing any register. *)
 
-val read_mem : t -> Instr.width -> int -> int64
-val write_mem : t -> Instr.width -> int -> int64 -> unit
-val push : t -> int64 -> unit
-val pop : t -> int64
+val load : t -> Instr.width -> int -> int -> unit
+(** [load t w o addr]: read [w] at [addr] into the register slot at
+    offset [o], zero-extended and mode-masked. *)
 
-val eval_binop : t -> Instr.binop -> int64 -> int64 -> int -> int64
-(** [eval_binop t op l r pc]: untruncated result; the caller masks. [pc]
-    only feeds the division-by-zero fault address. *)
+val store : t -> Instr.width -> int -> Bytes.t -> int -> unit
+(** [store t w addr src o]: write the low [w] bytes of the int64 at
+    offset [o] of [src] (the register file or any buffer in its layout)
+    to [addr]. *)
+
+val push : t -> Bytes.t -> int -> unit
+(** Push the int64 at offset [o] of [src] ({!store} then [sp -= 8]). *)
+
+val pop : t -> int -> unit
+(** Pop into the slot at offset [o], through {!scratch}: [pop sp] ends
+    with the popped value. *)
 
 val eval_cond : t -> Instr.cond -> bool
 
-val branch_target : t -> int64 -> int
-(** Architectural target of an indirect branch: mode-masked, clamped to
-    the mode limit when it exceeds the host int range (the subsequent
-    fetch then faults exactly like [Jmp] out of range). *)
+val jump_slot : t -> int -> unit
+(** Indirect branch to the register value at offset [o]: a long-mode
+    value beyond the host int range clamps to the mode's address limit,
+    so the next fetch faults exactly like [Jmp] out of range. *)
 
 val try_fetch : t -> int -> (Instr.t * int) option
 (** Decode the instruction at an address without touching machine state;

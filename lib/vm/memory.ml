@@ -34,6 +34,28 @@ let bytes_all_zero b pos len =
 let is_zero_page b = bytes_all_zero b 0 page_size
 
 (* ------------------------------------------------------------------ *)
+(* Recycled page buffers                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Owned buffers dropped by [reset_zero] park here and back the next
+   demand-zero fill or private copy in any memory. A 4 KiB buffer is a
+   major-heap allocation, and an engine that otherwise allocates almost
+   nothing gives the major GC too little work to keep pace with them.
+   An Owned buffer is referenced by exactly one page slot (capture
+   publishes pages as Shared before anyone else can hold them), so once
+   dropped it is free. The list is small and fixed: a pool shell's
+   resident set, not a cache. *)
+let recycle_capacity = 64
+let free_pages = Array.make recycle_capacity Bytes.empty
+let n_free = ref 0
+
+let release_page b =
+  if !n_free < recycle_capacity then begin
+    free_pages.(!n_free) <- b;
+    incr n_free
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Content-addressed page cache                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -111,6 +133,7 @@ type t = {
   mutable epoch : int;      (* bulk content version: bumped by reset_zero *)
   mutable cow_faults : int;
   mutable zero_fills : int;
+  mutable recycled : int;
   mutable fault_hook : (shared:bool -> page:int -> unit) option;
 }
 
@@ -126,6 +149,7 @@ let create ~size =
     epoch = 0;
     cow_faults = 0;
     zero_fills = 0;
+    recycled = 0;
     fault_hook = None;
   }
 
@@ -178,6 +202,22 @@ let page_ro t p =
   | Shared s -> s.s_data
   | Owned b -> b
 
+(* A private page holding [src] (the zero page for a demand-zero
+   fill), on a recycled buffer when one is free. *)
+let private_copy t src =
+  let b =
+    if !n_free = 0 then Bytes.create page_size
+    else begin
+      decr n_free;
+      t.recycled <- t.recycled + 1;
+      let b = free_pages.(!n_free) in
+      free_pages.(!n_free) <- Bytes.empty;
+      b
+    end
+  in
+  Bytes.blit src 0 b 0 page_size;
+  b
+
 (* First store to a non-Owned page: demand-zero fill or CoW break. The
    fault hook (installed by the simulated KVM) charges the EPT-violation
    cost for shared pages; zero fills are free so cold-path timings are
@@ -186,13 +226,13 @@ let page_rw t p =
   match Array.unsafe_get t.pages p with
   | Owned b -> b
   | Zero ->
-      let b = Bytes.make page_size '\000' in
+      let b = private_copy t zero_data in
       t.pages.(p) <- Owned b;
       t.zero_fills <- t.zero_fills + 1;
       (match t.fault_hook with Some h -> h ~shared:false ~page:p | None -> ());
       b
   | Shared s ->
-      let b = Bytes.copy s.s_data in
+      let b = private_copy t s.s_data in
       t.pages.(p) <- Owned b;
       t.cow_faults <- t.cow_faults + 1;
       (match t.fault_hook with Some h -> h ~shared:true ~page:p | None -> ());
@@ -283,6 +323,26 @@ let write_u64 t addr v =
         (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL))
     done
 
+(* Register-file variants: the value moves between a guest page and a
+   native-endian slot of [buf] without being boxed. Only a page-crossing
+   access takes the boxed path above. *)
+let read_u64_into t addr buf pos =
+  let off = addr land page_mask in
+  if off <= page_size - 8 then begin
+    check t addr 8;
+    Bytes.set_int64_ne buf pos (Bytes.get_int64_le (page_ro t (addr lsr page_shift)) off)
+  end
+  else Bytes.set_int64_ne buf pos (read_u64 t addr)
+
+let write_u64_from t addr buf pos =
+  let off = addr land page_mask in
+  if off <= page_size - 8 then begin
+    check t addr 8;
+    mark t addr 8;
+    Bytes.set_int64_le (page_rw t (addr lsr page_shift)) off (Bytes.get_int64_ne buf pos)
+  end
+  else write_u64 t addr (Bytes.get_int64_ne buf pos)
+
 let read_bytes t ~off ~len =
   check t off len;
   let out = Bytes.create len in
@@ -355,12 +415,16 @@ let fill_zero t =
   if t.size > 0 then mark t 0 t.size;
   Array.fill t.pages 0 t.npages Zero
 
-(* Pool cleaning: drop every reference and start a fresh generation —
-   the simulated cost model still charges the memset this stands for.
+(* Pool cleaning: drop every reference (Owned buffers go to the
+   recycle list) and start a fresh generation — the simulated cost
+   model still charges the memset this stands for.
    Bumping the epoch (rather than every page version) keeps the release
    path O(1) while still invalidating every translated superblock. *)
 let reset_zero t =
-  Array.fill t.pages 0 t.npages Zero;
+  for p = 0 to t.npages - 1 do
+    (match Array.unsafe_get t.pages p with Owned b -> release_page b | Zero | Shared _ -> ());
+    Array.unsafe_set t.pages p Zero
+  done;
   t.epoch <- t.epoch + 1;
   clear_dirty t
 
@@ -455,8 +519,7 @@ let restore_image ?(eager = false) t img =
       t.pages.(p) <-
         (match img.i_pages.(p) with
         | Zero -> Zero
-        | Shared s -> Owned (Bytes.copy s.s_data)
-        | Owned b -> Owned (Bytes.copy b))
+        | Shared { s_data = b; _ } | Owned b -> Owned (private_copy t b))
     done
   else Array.blit img.i_pages 0 t.pages 0 keep;
   if t.npages > keep then Array.fill t.pages keep (t.npages - keep) Zero;
@@ -491,6 +554,7 @@ type page_stats = {
   zero_pages : int;
   cow_faults : int;
   zero_fills : int;
+  recycled : int;
 }
 
 let page_stats t =
@@ -508,6 +572,7 @@ let page_stats t =
     zero_pages = !zero;
     cow_faults = t.cow_faults;
     zero_fills = t.zero_fills;
+    recycled = t.recycled;
   }
 
 let resident_bytes t =

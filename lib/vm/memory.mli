@@ -39,6 +39,16 @@ val write_u16 : t -> int -> int -> unit
 val write_u32 : t -> int -> int -> unit
 val write_u64 : t -> int -> int64 -> unit
 
+val read_u64_into : t -> int -> bytes -> int -> unit
+(** [read_u64_into t addr buf pos] stores {!read_u64}[ t addr] into
+    [buf] at [pos] in native byte order ([Bytes.set_int64_ne]). Unlike
+    {!read_u64} it allocates nothing unless the access crosses a page. *)
+
+val write_u64_from : t -> int -> bytes -> int -> unit
+(** [write_u64_from t addr buf pos] is {!write_u64}[ t addr
+    (Bytes.get_int64_ne buf pos)], allocation-free unless the access
+    crosses a page. *)
+
 val read_bytes : t -> off:int -> len:int -> bytes
 val write_bytes : t -> off:int -> bytes -> unit
 (** [write_bytes] skips all-zero chunks aimed at zero pages, so loading a
@@ -62,7 +72,11 @@ val fill_zero : t -> unit
 val reset_zero : t -> unit
 (** Pool cleaning: drop every page reference {e and} start a fresh dirty
     generation — equivalent to {!fill_zero} + {!clear_dirty} without
-    touching a byte. The caller still charges the simulated memset. *)
+    touching a byte. The caller still charges the simulated memset.
+    Dropped private buffers go to a small process-wide recycle list
+    (a fixed 64 pages) that backs later demand-zero fills, CoW breaks
+    and eager restores in any memory; a recycled buffer is overwritten
+    in full before use. *)
 
 val copy_to : src:t -> dst:t -> unit
 (** Share [src]'s pages into [dst]; sizes must match. [src]'s private
@@ -161,6 +175,9 @@ type page_stats = {
   zero_pages : int;
   cow_faults : int;       (** shared pages broken private over [t]'s life *)
   zero_fills : int;       (** demand-zero materializations *)
+  recycled : int;
+      (** materializations (zero fills, CoW breaks, eager restores)
+          backed by a buffer another memory's {!reset_zero} dropped *)
 }
 
 val page_stats : t -> page_stats

@@ -7,17 +7,14 @@ let address_limit = function
   | Protected -> 1 lsl 32
   | Long -> 1 lsl 30
 
-let mask mode v =
-  match mode with
-  | Real -> Int64.logand v 0xFFFFL
-  | Protected -> Int64.logand v 0xFFFFFFFFL
-  | Long -> v
+let mask_bits = function Real -> 0xFFFFL | Protected -> 0xFFFFFFFFL | Long -> -1L
+let sext_shift mode = 64 - width_bits mode
+
+let mask mode v = Int64.logand v (mask_bits mode)
 
 let sext mode v =
-  match mode with
-  | Real -> Int64.shift_right (Int64.shift_left v 48) 48
-  | Protected -> Int64.shift_right (Int64.shift_left v 32) 32
-  | Long -> v
+  let s = sext_shift mode in
+  Int64.shift_right (Int64.shift_left v s) s
 
 let to_string = function Real -> "real" | Protected -> "protected" | Long -> "long"
 

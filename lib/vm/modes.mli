@@ -23,6 +23,15 @@ val sext : t -> int64 -> int64
 (** Sign-extend a mode-width value to 64 bits (for signed compares,
     division and arithmetic shifts). *)
 
+val mask_bits : t -> int64
+(** The mode-width mask ([-1L] in long mode): [mask m v = logand v
+    (mask_bits m)]. A static constant, so hot paths can mask without
+    passing a boxed value across a module boundary. *)
+
+val sext_shift : t -> int
+(** [64 - width_bits]: [sext m v] shifts left then arithmetically right
+    by this amount. *)
+
 val to_string : t -> string
 
 val of_string : string -> t option

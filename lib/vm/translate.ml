@@ -11,6 +11,11 @@
    bytes it decoded, so only a store that changed those bytes (or a
    pool reset's epoch bump) costs a retranslation.
 
+   Running a cached block allocates nothing: registers live in the
+   CPU's Bytes register file and every operand is an int64 slot, so no
+   value is boxed between guest pages and registers (docs/translation.md,
+   "Register file and allocation").
+
    The timing model is untouched: every translated instruction charges
    its exact Instr.cost, bumps retired, and honors fuel. Cycle and
    retired charges are batched in plain ints and committed to the
@@ -115,17 +120,13 @@ let key_of pc mode = (pc lsl 2) lor mode_index mode
    through a synthetic fallthrough edge. *)
 let max_block = 128
 
-let pages_current mem pages vers =
-  let n = Array.length pages in
-  let rec go i =
-    i >= n
-    || (Memory.page_version mem (Array.unsafe_get pages i) = Array.unsafe_get vers i
-       && go (i + 1))
-  in
-  go 0
+let rec pages_current mem pages vers i =
+  i >= Array.length pages
+  || Memory.page_version mem (Array.unsafe_get pages i) = Array.unsafe_get vers i
+     && pages_current mem pages vers (i + 1)
 
 let block_valid tr b =
-  b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers
+  b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers 0
 
 (* The versions are only a filter: a store anywhere on a code page bumps
    them, but the block stays correct as long as its own bytes are
@@ -140,6 +141,17 @@ let revalidate tr b =
   end
   else false
 
+(* Sign-extend a mode-width value: [s] is [Modes.sext_shift]. *)
+let sx s v = Int64.shift_right (Int64.shift_left v s) s
+
+(* An operand is an int64 slot: a register in the register file, or
+   this private 8-byte buffer holding an immediate. Reading either is
+   one unboxed load. *)
+let imm_slot v =
+  let b = Bytes.create 8 in
+  Cpu.set64 b 0 v;
+  (b, 0)
+
 let rec lookup tr pc =
   let e = Memory.epoch tr.mem in
   if e <> tr.t_epoch then begin
@@ -148,15 +160,15 @@ let rec lookup tr pc =
     tr.t_epoch <- e
   end;
   let key = key_of pc (Cpu.mode tr.cpu) in
-  match Hashtbl.find_opt tr.table key with
-  | Some b when block_valid tr b || revalidate tr b -> b
-  | Some _ ->
+  match Hashtbl.find tr.table key with
+  | b when block_valid tr b || revalidate tr b -> b
+  | _ ->
       tr.stats.invalidations <- tr.stats.invalidations + 1;
       Hashtbl.remove tr.table key;
       let b = translate tr pc in
       Hashtbl.replace tr.table key b;
       b
-  | None ->
+  | exception Not_found ->
       let b = translate tr pc in
       Hashtbl.replace tr.table key b;
       b
@@ -204,7 +216,7 @@ and translate tr pc0 =
         Array.init (((end_pc - 1) / Memory.page_size) - first + 1) (fun i -> first + i) )
   in
   let vers = Array.map (Memory.page_version mem) pages in
-  let smc_ok () = pages_current mem pages vers in
+  let smc_ok () = pages_current mem pages vers 0 in
   let out_of_fuel start =
     commit tr;
     Cpu.set_pc cpu start;
@@ -224,27 +236,15 @@ and translate tr pc0 =
           slot.s_blk <- Some b;
           b.b_exec ()
   in
-  let operand : Instr.operand -> unit -> int64 = function
-    | Reg r -> fun () -> Array.unsafe_get regs r
-    | Imm i ->
-        let v = Modes.mask mode i in
-        fun () -> v
+  let operand : Instr.operand -> Bytes.t * int = function
+    | Reg r -> (regs, Cpu.slot r)
+    | Imm i -> imm_slot (Modes.mask mode i)
   in
-  (* Branch-free per-mode constants so the per-instruction closures skip
-     the [Modes.mask]/[Modes.sext] mode dispatch: and-with-(-1) and
-     shift-by-0 are identities in long mode. *)
-  let mask_c =
-    match mode with
-    | Modes.Real -> 0xFFFFL
-    | Modes.Protected -> 0xFFFFFFFFL
-    | Modes.Long -> -1L
-  in
-  let sext_s = 64 - Modes.width_bits mode in
-  let mk v = Int64.logand v mask_c in
-  let sx v = Int64.shift_right (Int64.shift_left v sext_s) sext_s in
-  let count_c =
-    match mode with Modes.Real | Modes.Protected -> 31L | Modes.Long -> 63L
-  in
+  (* Per-mode constants, so the per-instruction closures skip the mode
+     dispatch: and-with-(-1) and shift-by-0 are identities in long
+     mode. Values stay unboxed from register file to register file. *)
+  let mask_c = Modes.mask_bits mode and sext_s = Modes.sext_shift mode in
+  let count_m = match mode with Modes.Real | Modes.Protected -> 31 | Modes.Long -> 63 in
   (* Block terminator continuation. *)
   let tail_k : unit -> Cpu.exit_reason option =
     match term with
@@ -282,7 +282,7 @@ and translate tr pc0 =
                 Some Cpu.Halt
               end
         | Out (port, src) ->
-            let srcf = operand src in
+            let sb, so = operand src in
             fun () ->
               if tr.fuel <= 0 then out_of_fuel start
               else begin
@@ -290,7 +290,7 @@ and translate tr pc0 =
                 retire ();
                 commit tr;
                 Cpu.set_pc cpu next;
-                Some (Cpu.Io_out { port; value = srcf () })
+                Some (Cpu.Io_out { port; value = Cpu.get64 sb so })
               end
         | In (rd, port) ->
             fun () ->
@@ -313,7 +313,7 @@ and translate tr pc0 =
               end
         | Call a ->
             let g = goto a in
-            let retv = Int64.of_int next in
+            let rb, ro = imm_slot (Int64.of_int next) in
             fun () ->
               if tr.fuel <= 0 then out_of_fuel start
               else begin
@@ -323,7 +323,7 @@ and translate tr pc0 =
                 (* the push may CoW-fault: hook observes clock + pc *)
                 commit tr;
                 Cpu.set_pc cpu next;
-                Cpu.push cpu retv;
+                Cpu.push cpu rb ro;
                 if smc_ok () then g ()
                 else begin
                   Cpu.set_pc cpu a;
@@ -331,7 +331,8 @@ and translate tr pc0 =
                 end
               end
         | Callr r ->
-            let retv = Int64.of_int next in
+            let rb, ro = imm_slot (Int64.of_int next) in
+            let target = Cpu.slot r in
             fun () ->
               if tr.fuel <= 0 then out_of_fuel start
               else begin
@@ -340,9 +341,9 @@ and translate tr pc0 =
                 tr.cur_pc <- start;
                 commit tr;
                 Cpu.set_pc cpu next;
-                Cpu.push cpu retv;
+                Cpu.push cpu rb ro;
                 (* register read after the push (callr through sp) *)
-                Cpu.set_pc cpu (Cpu.branch_target cpu (Array.unsafe_get regs r));
+                Cpu.jump_slot cpu target;
                 None
               end
         | Ret ->
@@ -352,7 +353,8 @@ and translate tr pc0 =
                 tr.fuel <- tr.fuel - 1;
                 retire ();
                 tr.cur_pc <- start;
-                Cpu.set_pc cpu (Cpu.branch_target cpu (Cpu.pop cpu));
+                Cpu.pop cpu Cpu.scratch;
+                Cpu.jump_slot cpu Cpu.scratch;
                 None
               end
         | _ -> assert false (* only VM exits and branches terminate *))
@@ -379,106 +381,86 @@ and translate tr pc0 =
             tr.steps <- tr.steps + 1;
             next_k ()
           end
-    | Mov (rd, src) -> (
-        (* operands are invariantly mode-masked, so reg-to-reg moves
-           need no re-mask *)
-        match src with
-        | Instr.Reg rs ->
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
-                Array.unsafe_set regs rd (Array.unsafe_get regs rs);
-                next_k ()
-              end
-        | Instr.Imm i ->
-            let v = Modes.mask mode i in
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
-                Array.unsafe_set regs rd v;
-                next_k ()
-              end)
-    | Bin (op, rd, src) -> (
-        let srcf = operand src in
-        (* the common non-faulting operators get direct closures; the
-           exact [Cpu.eval_binop] semantics are mirrored (mode-masked
-           inputs in, mask applied on writeback) *)
-        let simple fop =
-          fun () ->
-            if tr.fuel <= 0 then out_of_fuel start
-            else begin
-              tr.fuel <- tr.fuel - 1;
-              tr.cyc <- tr.cyc + cost;
-              tr.steps <- tr.steps + 1;
-              Array.unsafe_set regs rd (mk (fop (Array.unsafe_get regs rd) (srcf ())));
-              next_k ()
-            end
-        in
-        match op with
-        | Instr.Add -> simple Int64.add
-        | Instr.Sub -> simple Int64.sub
-        | Instr.Mul -> simple Int64.mul
-        | Instr.And -> simple Int64.logand
-        | Instr.Or -> simple Int64.logor
-        | Instr.Xor -> simple Int64.logxor
-        | Instr.Shl ->
-            simple (fun l r -> Int64.shift_left l (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Shr ->
-            simple (fun l r ->
-                Int64.shift_right_logical l (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Sar ->
-            simple (fun l r ->
-                Int64.shift_right (sx l) (Int64.to_int (Int64.logand r count_c)))
-        | Instr.Div | Instr.Rem ->
-            fun () ->
-              if tr.fuel <= 0 then out_of_fuel start
-              else begin
-                tr.fuel <- tr.fuel - 1;
-                tr.cyc <- tr.cyc + cost;
-                tr.steps <- tr.steps + 1;
-                tr.cur_pc <- start;
-                Array.unsafe_set regs rd
-                  (Modes.mask mode
-                     (Cpu.eval_binop cpu op (Array.unsafe_get regs rd) (srcf ()) start));
-                next_k ()
-              end)
-    | Neg rd ->
+    | Mov (rd, src) ->
+        (* operands are invariantly mode-masked: no re-mask *)
+        let o = Cpu.slot rd and sb, so = operand src in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             tr.cyc <- tr.cyc + cost;
             tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.neg (sx (Array.unsafe_get regs rd))));
+            Cpu.set64 regs o (Cpu.get64 sb so);
+            next_k ()
+          end
+    | Bin (op, rd, src) ->
+        (* [Cpu.eval_binop]'s semantics: mode-masked inputs in, mask
+           applied on writeback *)
+        let o = Cpu.slot rd and sb, so = operand src in
+        fun () ->
+          if tr.fuel <= 0 then out_of_fuel start
+          else begin
+            tr.fuel <- tr.fuel - 1;
+            tr.cyc <- tr.cyc + cost;
+            tr.steps <- tr.steps + 1;
+            let l = Cpu.get64 regs o and r = Cpu.get64 sb so in
+            let v =
+              match op with
+              | Instr.Add -> Int64.add l r
+              | Sub -> Int64.sub l r
+              | Mul -> Int64.mul l r
+              | And -> Int64.logand l r
+              | Or -> Int64.logor l r
+              | Xor -> Int64.logxor l r
+              | Shl -> Int64.shift_left l (Int64.to_int r land count_m)
+              | Shr -> Int64.shift_right_logical l (Int64.to_int r land count_m)
+              | Sar -> Int64.shift_right (sx sext_s l) (Int64.to_int r land count_m)
+              | Div | Rem -> (
+                  let d = sx sext_s r in
+                  if d = 0L then begin
+                    tr.cur_pc <- start;
+                    raise (Cpu.Vm_fault (Division_by_zero { addr = start }))
+                  end;
+                  match op with
+                  | Div -> Int64.div (sx sext_s l) d
+                  | _ -> Int64.rem (sx sext_s l) d)
+            in
+            Cpu.set64 regs o (Int64.logand v mask_c);
+            next_k ()
+          end
+    | Neg rd ->
+        let o = Cpu.slot rd in
+        fun () ->
+          if tr.fuel <= 0 then out_of_fuel start
+          else begin
+            tr.fuel <- tr.fuel - 1;
+            tr.cyc <- tr.cyc + cost;
+            tr.steps <- tr.steps + 1;
+            Cpu.set64 regs o (Int64.logand (Int64.neg (sx sext_s (Cpu.get64 regs o))) mask_c);
             next_k ()
           end
     | Not rd ->
+        let o = Cpu.slot rd in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             tr.cyc <- tr.cyc + cost;
             tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.lognot (Array.unsafe_get regs rd)));
+            Cpu.set64 regs o (Int64.logand (Int64.lognot (Cpu.get64 regs o)) mask_c);
             next_k ()
           end
     | Cmp (r, src) ->
-        let srcf = operand src in
+        let o = Cpu.slot r and sb, so = operand src in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             tr.cyc <- tr.cyc + cost;
             tr.steps <- tr.steps + 1;
-            let l = Array.unsafe_get regs r and rv = srcf () in
+            let l = Cpu.get64 regs o and rv = Cpu.get64 sb so in
             Cpu.set_cmp cpu
-              ~signed:(Int64.compare (sx l) (sx rv))
+              ~signed:(Int64.compare (sx sext_s l) (sx sext_s rv))
               ~unsigned:(Int64.unsigned_compare l rv);
             next_k ()
           end
@@ -493,7 +475,7 @@ and translate tr pc0 =
             if Cpu.eval_cond cpu c then g () else next_k ()
           end
     | Push src ->
-        let srcf = operand src in
+        let sb, so = operand src in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
@@ -502,32 +484,33 @@ and translate tr pc0 =
             tr.cur_pc <- start;
             commit tr;
             Cpu.set_pc cpu next;
-            Cpu.push cpu (srcf ());
+            Cpu.push cpu sb so;
             if smc_ok () then next_k () else None
           end
     | Pop rd ->
+        let o = Cpu.slot rd in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             retire ();
             tr.cur_pc <- start;
-            Cpu.set_reg cpu rd (Cpu.pop cpu);
+            Cpu.pop cpu o;
             next_k ()
           end
     | Load (w, rd, rb, d) ->
+        let o = Cpu.slot rd and base = Cpu.slot rb in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             retire ();
             tr.cur_pc <- start;
-            let addr = Int64.to_int (Array.unsafe_get regs rb) + d in
-            Array.unsafe_set regs rd (mk (Cpu.read_mem cpu w addr));
+            Cpu.load cpu w o (Int64.to_int (Cpu.get64 regs base) + d);
             next_k ()
           end
     | Store (w, rb, d, src) ->
-        let srcf = operand src in
+        let base = Cpu.slot rb and sb, so = operand src in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
@@ -536,23 +519,23 @@ and translate tr pc0 =
             tr.cur_pc <- start;
             commit tr;
             Cpu.set_pc cpu next;
-            let addr = Int64.to_int (Array.unsafe_get regs rb) + d in
-            Cpu.write_mem cpu w addr (srcf ());
+            Cpu.store cpu w (Int64.to_int (Cpu.get64 regs base) + d) sb so;
             (* the store may have rewritten this very block *)
             if smc_ok () then next_k () else None
           end
     | Lea (rd, rb, d) ->
-        let dv = Int64.of_int d in
+        let o = Cpu.slot rd and base = Cpu.slot rb and dv = Int64.of_int d in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
             tr.fuel <- tr.fuel - 1;
             tr.cyc <- tr.cyc + cost;
             tr.steps <- tr.steps + 1;
-            Array.unsafe_set regs rd (mk (Int64.add (Array.unsafe_get regs rb) dv));
+            Cpu.set64 regs o (Int64.logand (Int64.add (Cpu.get64 regs base) dv) mask_c);
             next_k ()
           end
     | Rdtsc rd ->
+        let o = Cpu.slot rd in
         fun () ->
           if tr.fuel <= 0 then out_of_fuel start
           else begin
@@ -560,8 +543,7 @@ and translate tr pc0 =
             retire ();
             (* rdtsc observes the clock including its own cost *)
             commit tr;
-            Array.unsafe_set regs rd
-              (Modes.mask mode (Cycles.Clock.now tr.clock));
+            Cpu.set64 regs o (Int64.logand (Cycles.Clock.now tr.clock) mask_c);
             next_k ()
           end
     | Hlt | Jmp _ | Call _ | Callr _ | Ret | Out _ | In _ ->

@@ -22,6 +22,11 @@
     hook is installed (profiling), {!run} falls back to {!Cpu.run} so
     the hook's one-call-per-instruction contract holds.
 
+    Executing cached blocks allocates nothing: operands are resolved at
+    translation time to slots of the CPU's [Bytes] register file, and
+    values move unboxed between slots, guest pages and the native-int
+    clock and retired counters.
+
     See [docs/translation.md] for the design. *)
 
 type t

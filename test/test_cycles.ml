@@ -35,6 +35,41 @@ let test_clock_default_freq () =
   let c = Clock.create () in
   Alcotest.(check (float 1e-9)) "tinker frequency" 2.69 (Clock.freq_ghz c)
 
+let test_clock_rejects_negative () =
+  let c = Clock.create () in
+  Clock.advance c 10L;
+  let neg = Invalid_argument "Clock.advance: negative cycles" in
+  Alcotest.check_raises "advance" neg (fun () -> Clock.advance c (-1L));
+  Alcotest.check_raises "advance_int" neg (fun () -> Clock.advance_int c (-1));
+  Alcotest.check_raises "int64 min" neg (fun () -> Clock.advance c Int64.min_int);
+  Alcotest.(check int64) "clock unchanged" 10L (Clock.now c)
+
+(* the count is a native int: an int64 past max_int (which a scheduler
+   window derived from a far-future release time can be) must not wrap *)
+let test_clock_rejects_overflow () =
+  let c = Clock.create () in
+  let over = Invalid_argument "Clock.advance: cycle count overflow" in
+  let max = Int64.of_int max_int in
+  Alcotest.check_raises "max_int + 1" over (fun () -> Clock.advance c (Int64.succ max));
+  Alcotest.check_raises "int64 max" over (fun () -> Clock.advance c Int64.max_int);
+  Alcotest.(check int64) "clock unchanged" 0L (Clock.now c);
+  Clock.advance c max;
+  Alcotest.(check int64) "max_int reachable" max (Clock.now c);
+  Alcotest.check_raises "sum past max_int" over (fun () -> Clock.advance_int c 1);
+  Alcotest.(check int64) "clock unchanged at max" max (Clock.now c)
+
+let test_clock_near_2_62 () =
+  let c = Clock.create () in
+  let big = Int64.sub (Int64.shift_left 1L 62) 7L in
+  Clock.advance c big;
+  Alcotest.(check int64) "now" big (Clock.now c);
+  let start = Clock.now c in
+  Clock.advance_int c 3;
+  Clock.advance c 2L;
+  Alcotest.(check int64) "elapsed_since" 5L (Clock.elapsed_since c start);
+  Alcotest.(check int64) "elapsed from 0" (Int64.add big 5L) (Clock.elapsed_since c 0L);
+  Alcotest.(check int64) "now after" (Int64.sub (Int64.shift_left 1L 62) 2L) (Clock.now c)
+
 let test_rng_deterministic () =
   let a = Rng.create ~seed:42 and b = Rng.create ~seed:42 in
   for _ = 1 to 100 do
@@ -175,6 +210,9 @@ let () =
           Alcotest.test_case "of_us roundtrip" `Quick test_clock_of_us_roundtrip;
           Alcotest.test_case "elapsed" `Quick test_clock_elapsed;
           Alcotest.test_case "default frequency" `Quick test_clock_default_freq;
+          Alcotest.test_case "negative advance rejected" `Quick test_clock_rejects_negative;
+          Alcotest.test_case "overflow rejected" `Quick test_clock_rejects_overflow;
+          Alcotest.test_case "exact near 2^62" `Quick test_clock_near_2_62;
         ] );
       ( "rng",
         [

@@ -22,12 +22,13 @@ let exit_str (e : Vm.Cpu.exit_reason) = Format.asprintf "%a" Vm.Cpu.pp_exit e
 
 (* Run [code] to completion under one engine, resuming deterministically
    through a bounded number of I/O exits ([in] deposits a constant). *)
-let exec engine ~mode ~mem_size code =
+let exec ?(clock_start = 0L) ?(at = origin) engine ~mode ~mem_size code =
   let mem = Vm.Memory.create ~size:mem_size in
-  Vm.Memory.write_bytes mem ~off:origin code;
+  Vm.Memory.write_bytes mem ~off:at code;
   let clock = Cycles.Clock.create () in
+  Cycles.Clock.advance clock clock_start;
   let cpu = Vm.Cpu.create ~mem ~mode ~clock in
-  Vm.Cpu.set_pc cpu origin;
+  Vm.Cpu.set_pc cpu at;
   Vm.Cpu.set_sp cpu 0x8000;
   let step =
     match engine with
@@ -70,9 +71,9 @@ let check_same name a b =
     a.regs;
   Alcotest.(check bool) (name ^ ": memory") true (Bytes.equal a.mem b.mem)
 
-let both ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) name code =
-  let i = exec `Interp ~mode ~mem_size code in
-  let t = exec `Translate ~mode ~mem_size code in
+let both ?(mode = Vm.Modes.Long) ?(mem_size = 64 * 1024) ?at name code =
+  let i = exec ?at `Interp ~mode ~mem_size code in
+  let t = exec ?at `Translate ~mode ~mem_size code in
   check_same name i t;
   (i, t)
 
@@ -133,14 +134,20 @@ let print_program (mode, instrs) =
   Printf.sprintf "%s: %s" (Vm.Modes.to_string mode)
     (String.concat "; " (List.map Instr.to_string instrs))
 
+(* Both clocks start at the same random offset below 2^50, so [rdtsc]
+   under the real and protected masks reads high clock bits. *)
 let prop_differential =
   QCheck.Test.make ~name:"random programs agree across engines" ~count:400
-    (QCheck.make ~print:print_program
-       QCheck.Gen.(pair gen_mode (list_size (int_range 1 60) gen_instr)))
-    (fun (mode, instrs) ->
+    (QCheck.make
+       ~print:(fun (start, p) -> Printf.sprintf "clock %d, %s" start (print_program p))
+       QCheck.Gen.(
+         pair (int_range 0 (1 lsl 50)) (pair gen_mode (list_size (int_range 1 60) gen_instr))))
+    (fun (start, (mode, instrs)) ->
       let code = Encoding.encode_program instrs in
-      let mem_size = 64 * 1024 in
-      same (exec `Interp ~mode ~mem_size code) (exec `Translate ~mode ~mem_size code))
+      let mem_size = 64 * 1024 and clock_start = Int64.of_int start in
+      same
+        (exec ~clock_start `Interp ~mode ~mem_size code)
+        (exec ~clock_start `Translate ~mode ~mem_size code))
 
 (* Self-modifying loops: each iteration pokes bytes of the program's own
    code, either the byte already there (reloaded at run time, so page
@@ -375,6 +382,20 @@ let test_data_on_code_page () =
     true (s.blocks_translated <= 3);
   Alcotest.(check int) "nothing invalidated" 0 s.invalidations
 
+let test_real_mode_call_above_64k () =
+  (* a real-mode pc can exceed 16 bits (the mode's limit is 1 MiB):
+     call pushes the whole return address, unmasked, on both engines *)
+  let open Instr in
+  let at = 0x10000 in
+  let call = Call (at + 16) in
+  let ret_addr = at + Encoding.encoded_size call in
+  let code = Bytes.make 17 '\000' in
+  Bytes.blit (Encoding.encode_program [ call ]) 0 code 0 (ret_addr - at);
+  let i, _ = both ~mode:Vm.Modes.Real ~mem_size:(128 * 1024) ~at "real call" code in
+  Alcotest.(check string) "halts at the target" "halt" i.exit;
+  Alcotest.(check int64) "return address on the stack" (Int64.of_int ret_addr)
+    (Bytes.get_int64_le i.mem (0x8000 - 8))
+
 let test_out_resumable_across_engines () =
   let open Instr in
   let prog = [ Mov (0, Imm 9L); Out (1, Reg 0); Mov (1, Reg 0); Hlt ] in
@@ -413,6 +434,74 @@ let test_fuel_exhaustion_matches () =
     (Cycles.Clock.now (Vm.Cpu.clock cpu_i))
     (Cycles.Clock.now (Vm.Cpu.clock cpu_t));
   Alcotest.(check int) "pc" (Vm.Cpu.pc cpu_i) (Vm.Cpu.pc cpu_t)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated while [f] runs: deterministic for a fixed
+   binary, so these bounds are exact gates, not timing. *)
+let words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let fib_asm =
+  {|
+  call fib
+  hlt
+fib:
+  cmp r0, 2
+  jlt base
+  push r0
+  sub r0, 1
+  call fib
+  pop r1
+  push r0
+  mov r0, r1
+  sub r0, 2
+  call fib
+  pop r1
+  add r0, r1
+  ret
+base:
+  ret
+|}
+
+let test_warm_fib_allocation () =
+  let p = Asm.assemble_string ~origin fib_asm in
+  let cpu, _ = make_cpu p.Asm.code in
+  let tr = Vm.Translate.create cpu in
+  let fib15 () =
+    Vm.Cpu.set_pc cpu p.Asm.entry;
+    Vm.Cpu.set_sp cpu 0x8000;
+    Vm.Cpu.set_reg cpu 0 15L;
+    match Vm.Translate.run tr with
+    | Vm.Cpu.Halt -> Alcotest.(check int64) "fib(15)" 610L (Vm.Cpu.get_reg cpu 0)
+    | other -> Alcotest.failf "expected halt, got %s" (exit_str other)
+  in
+  fib15 ();
+  let before = Vm.Cpu.instructions_retired cpu in
+  let words = words_during fib15 in
+  let retired = Int64.to_float (Int64.sub (Vm.Cpu.instructions_retired cpu) before) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %.0f instructions (<= 1 per instruction)" words retired)
+    true
+    (words <= retired)
+
+let test_counters_allocation_free () =
+  let cpu, _ = make_cpu Bytes.empty in
+  let clock = Vm.Cpu.clock cpu in
+  let words =
+    words_during (fun () ->
+        for _ = 1 to 100_000 do
+          Cycles.Clock.advance_int clock 3;
+          Vm.Cpu.add_retired cpu 1
+        done)
+  in
+  Alcotest.(check (float 0.)) "words over 10^5 calls" 0. words;
+  Alcotest.(check int64) "cycles" 300_000L (Cycles.Clock.now clock);
+  Alcotest.(check int64) "retired" 100_000L (Vm.Cpu.instructions_retired cpu)
 
 (* ------------------------------------------------------------------ *)
 (* Runtime level: CoW restore between invocations                       *)
@@ -479,6 +568,8 @@ let () =
              Alcotest.test_case "smc same block" `Quick test_smc_same_block;
              Alcotest.test_case "smc cross block" `Quick test_smc_cross_block;
              Alcotest.test_case "data on code page" `Quick test_data_on_code_page;
+             Alcotest.test_case "real-mode call above 64 KiB" `Quick
+               test_real_mode_call_above_64k;
              Alcotest.test_case "out resumable" `Quick test_out_resumable_across_engines;
              Alcotest.test_case "fuel exhaustion" `Quick test_fuel_exhaustion_matches;
            ] );
@@ -487,6 +578,13 @@ let () =
           Alcotest.test_case "hook falls back" `Quick test_hook_falls_back_to_interpreter;
           Alcotest.test_case "reuse + invalidation" `Quick
             test_block_reuse_and_invalidation;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "warm fib(15) <= 1 word per instruction" `Quick
+            test_warm_fib_allocation;
+          Alcotest.test_case "clock and retired counters allocate nothing" `Quick
+            test_counters_allocation_free;
         ] );
       ( "runtime",
         [

@@ -215,6 +215,47 @@ let test_mem_reset_zero_drops_residency () =
   Alcotest.(check int) "dirty set clear" 0 (Vm.Memory.dirty_count m);
   Alcotest.(check int64) "reads zero" 0L (Vm.Memory.read_u64 m 30000)
 
+(* Buffers [reset_zero] drops back later materializations in any
+   memory: they must come back fully overwritten and unshared. *)
+let test_mem_page_recycling () =
+  let size = 64 * 1024 and page = Vm.Memory.page_size in
+  let all_zero m = Bytes.for_all (fun c -> c = '\000') (Vm.Memory.snapshot m) in
+  let old_m = Vm.Memory.create ~size in
+  for p = 0 to 3 do
+    Vm.Memory.write_bytes old_m ~off:(p * page) (Bytes.make page '\xA5')
+  done;
+  Vm.Memory.reset_zero old_m;
+  (* a demand-zero fill in another memory reuses a dropped buffer *)
+  let fresh = Vm.Memory.create ~size in
+  Vm.Memory.write_u8 fresh 5 0x11;
+  Alcotest.(check int) "fill served by a recycled buffer" 1
+    (Vm.Memory.page_stats fresh).Vm.Memory.recycled;
+  let want = Bytes.make page '\000' in
+  Bytes.set want 5 '\x11';
+  Alcotest.(check bool) "recycled page reads zero but for the store" true
+    (Bytes.equal want (Vm.Memory.read_bytes fresh ~off:0 ~len:page));
+  (* the new owner's writes stay out of the memory that dropped it *)
+  Vm.Memory.write_u64 fresh 64 (-1L);
+  Alcotest.(check bool) "old memory still zero" true (all_zero old_m);
+  Vm.Memory.write_u8 old_m 7 0x22;
+  Alcotest.(check int) "old memory's own fill" 0x22 (Vm.Memory.read_u8 old_m 7);
+  Alcotest.(check int) "new owner unaffected" 0 (Vm.Memory.read_u8 fresh 7);
+  (* an eager restore into recycled buffers is byte-identical *)
+  let src = Vm.Memory.create ~size in
+  for i = 0 to (3 * page) - 1 do
+    Vm.Memory.write_u8 src (page + i) ((i * 13) land 0xFF)
+  done;
+  let img = Vm.Memory.capture src and golden = Vm.Memory.snapshot src in
+  let victim = Vm.Memory.create ~size in
+  Vm.Memory.write_bytes victim ~off:0 (Bytes.make (4 * page) '\x5A');
+  Vm.Memory.reset_zero victim;
+  let dst = Vm.Memory.create ~size in
+  ignore (Vm.Memory.restore_image ~eager:true dst img);
+  Alcotest.(check int) "every image page on a recycled buffer" 3
+    (Vm.Memory.page_stats dst).Vm.Memory.recycled;
+  Alcotest.(check bool) "eager restore equals the image" true
+    (Bytes.equal golden (Vm.Memory.snapshot dst))
+
 (* ------------------------------------------------------------------ *)
 (* Modes                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -702,6 +743,7 @@ let () =
             test_mem_restore_cow_byte_identical;
           Alcotest.test_case "eager vs lazy restore" `Quick
             test_mem_eager_and_lazy_restore_identical;
+          Alcotest.test_case "page recycling" `Quick test_mem_page_recycling;
           Alcotest.test_case "reset_zero drops residency" `Quick
             test_mem_reset_zero_drops_residency;
         ] );
