@@ -79,7 +79,9 @@ type t = {
   mutable next_seq : int;
   mutable rr : int;       (* round-robin cursor for unpinned submits *)
   mutable submitted : int;
-  mutable emit : (Vtrace.Ctx.t -> unit) option;
+  mutable emit :
+    (Vtrace.Ctx.site -> core:int -> reason:Vtrace.Ctx.reason -> cycles:int64 -> nr:int -> unit)
+    option;
 }
 
 let create ?(steal = true) ?switch ?idle clocks =
@@ -113,8 +115,7 @@ let set_emit t f = t.emit <- f
 let emit t site ~core ~reason ~cycles ~nr =
   match t.emit with
   | None -> ()
-  | Some f ->
-      f { Vtrace.Ctx.empty with site; core; reason; cycles; nr = Int64.of_int nr }
+  | Some f -> f site ~core ~reason ~cycles ~nr
 
 let cores t = Array.length t.clocks
 let core_stats t = t.per_core
@@ -194,7 +195,7 @@ let step t =
       | None -> assert false);
       if src <> c then begin
         t.per_core.(c).stolen <- t.per_core.(c).stolen + 1;
-        emit t Steal ~core:c ~reason:"steal" ~cycles:0L ~nr:src
+        emit t Steal ~core:c ~reason:Steal ~cycles:0L ~nr:src
       end;
       let clk = t.clocks.(c) in
       let nw = Cycles.Clock.now clk in
@@ -211,7 +212,7 @@ let step t =
         s.idle_cycles <- Int64.add s.idle_cycles window;
         s.reclaim_cycles <- Int64.add s.reclaim_cycles (Int64.of_int spent);
         Cycles.Clock.advance clk window;
-        emit t Idle ~core:c ~reason:"wait" ~cycles:window ~nr:spent
+        emit t Idle ~core:c ~reason:Wait ~cycles:window ~nr:spent
       end;
       (match t.switch with Some f -> f c | None -> ());
       let before = Cycles.Clock.now clk in
@@ -222,7 +223,7 @@ let step t =
       s.executed <- s.executed + 1;
       emit t Sched
         ~core:c
-        ~reason:(if src <> c then "stolen" else "local")
+        ~reason:(if src <> c then Stolen else Local)
         ~cycles:busy ~nr:task.seq;
       true
 

@@ -63,9 +63,12 @@ val core_stats : t -> core_stats array
 val utilization : t -> core:int -> float
 (** [busy / (busy + idle)]; 0 before the core has done anything. *)
 
-val set_emit : t -> (Vtrace.Ctx.t -> unit) option -> unit
-(** Route the scheduler's events to a sink (e.g. [Kvmsim.Kvm.emit] of
-    the system the cores belong to). Events: ["sched"] after each task
+val set_emit :
+  t -> (Vtrace.Ctx.site -> core:int -> reason:Vtrace.Ctx.reason -> cycles:int64 -> nr:int -> unit)
+       option -> unit
+(** Route the scheduler's events to a sink (e.g. one that builds them
+    with [Kvmsim.Kvm.event] and hands them to [Kvmsim.Kvm.emit] of the
+    system the cores belong to). Events: ["sched"] after each task
     runs ([core] = executing core, [reason] = [local]/[stolen], [cycles]
     = the task's busy window, [nr] = its submission sequence), ["steal"]
     when a task migrates ([nr] = victim core) and ["idle"] for each

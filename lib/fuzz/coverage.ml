@@ -58,15 +58,15 @@ let observe t features =
 (* Feature extraction                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let flight_kind_name (ev : Vtrace.Ctx.t) =
-  match (ev.site, ev.reason) with
-  | Ept, _ -> "ept"
-  | Inject, site -> "inj:" ^ site
-  | _, "hlt" -> "hlt"
-  | _, "io_in" -> Printf.sprintf "in%d" ev.port
-  | _, "fault" -> "fault:" ^ ev.detail
-  | _, "fuel" -> "fuel"
-  | _ -> Printf.sprintf "out%d" ev.port
+let flight_kind_name ev =
+  match Profiler.Flight.kind ev with
+  | Ept_break _ -> "ept"
+  | Injected site -> "inj:" ^ site
+  | Hlt -> "hlt"
+  | Io_in port -> Printf.sprintf "in%d" port
+  | Fault detail -> "fault:" ^ detail
+  | Fuel -> "fuel"
+  | Io_out (port, _) -> Printf.sprintf "out%d" port
 
 (* Exit-kind edges: consecutive flight-ring entries as (from, to)
    pairs — the control-flow-sensitive half of the exit signal. *)

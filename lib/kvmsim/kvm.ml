@@ -26,10 +26,11 @@ type system = {
       (* prebuilt superblock-entry observer, installed on each vCPU's
          translation cache while running; None unless a block probe is
          attached *)
-  exit_reasons : (string, int ref) Hashtbl.t;
-      (* always-on per-reason exit tally (the kvm_exits_total{reason}
-         series without needing a telemetry hub) — the fuzzer's
-         exit-edge coverage signal reads it after every candidate *)
+  exits : int array;
+      (* always-on exit tally indexed by [exit_index] (the
+         kvm_exits_total{reason} series without needing a telemetry
+         hub) — the fuzzer's exit-edge coverage signal reads it after
+         every candidate *)
 }
 
 and stats = {
@@ -81,7 +82,7 @@ let open_dev ?(seed = 0x5eed) ?freq_ghz ?(cores = 1) ?(translate = true) () =
     observed = false;
     hc_port = None;
     block_probe = None;
-    exit_reasons = Hashtbl.create 8;
+    exits = Array.make (List.length (Vtrace.Ctx.reasons Exit)) 0;
   }
 
 let clock sys = sys.clocks.(sys.cur)
@@ -113,10 +114,7 @@ let fault_plan sys = sys.plan
 
 (* Trace id of the request currently on-CPU, so events are attributable
    to it. None when tracing is off or no span is open. *)
-let active_trace sys =
-  match sys.telemetry with
-  | None -> None
-  | Some h -> Telemetry.Hub.current_trace h
+let active_trace sys = Option.bind sys.telemetry Telemetry.Hub.current_trace
 
 let set_hc_port sys port = sys.hc_port <- port
 
@@ -124,80 +122,56 @@ let set_hc_port sys port = sys.hc_port <- port
 (* The event stream                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* What an event contributes to the metrics registry and the span sink.
-   Counters register on first touch and expose in that order, so the
-   order of the touches within an arm is part of the output
-   (test_observability pins it). *)
-let fold_telemetry h (ev : Vtrace.Ctx.t) =
-  let count ?(help = "") ?labels name =
-    Telemetry.Metrics.incr
-      (Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ~help ?labels name)
-  in
-  let instant ?args name = Telemetry.Hub.instant h ?args name in
-  let cycles () = ("cycles", Int64.to_string ev.cycles) in
-  match (ev.site, ev.reason) with
-  | Exit, reason ->
-      (match reason with
-      | "hypercall" | "io_out" | "io_in" -> count "kvm_io_exits_total"
-      | "fault" -> count "kvm_fault_exits_total"
+(* A bump of the named counter on the attached hub, if any. Counters
+   register on first touch and expose in that order, so the order of
+   the touches is part of the output (test_observability pins it). *)
+let count sys ?help ?labels ?by name =
+  match sys.telemetry with
+  | None -> ()
+  | Some h ->
+      Telemetry.Metrics.incr ?by (Telemetry.Metrics.counter (Telemetry.Hub.metrics h) ?help ?labels name)
+
+let tally sys ?help ?(by = 1) name v =
+  if sys.telemetry <> None then count sys ?help ~by name;
+  v + by
+
+let instant sys ?args name =
+  match sys.telemetry with None -> () | Some h -> Telemetry.Hub.instant h ?args name
+
+let exit_index : Vtrace.Ctx.reason -> int = function
+  | Hlt -> 0 | Hypercall -> 1 | Io_out -> 2 | Io_in -> 3 | Fault -> 4 | Fuel -> 5
+  | r -> invalid_arg ("Kvm.exit_index: not an exit reason: " ^ Vtrace.Ctx.reason_name r)
+
+(* KVM's own facts, each folded into its stats field and its counter in
+   one arm. The layers above fold their events the same way before
+   handing them to [emit]. *)
+let fold_telemetry sys (ev : Vtrace.Ctx.t) =
+  let st = sys.stats in
+  match ev.site with
+  | Exit ->
+      let i = exit_index ev.reason in
+      sys.exits.(i) <- sys.exits.(i) + 1;
+      (match ev.reason with
+      | Hypercall | Io_out | Io_in -> st.io_exits <- tally sys "kvm_io_exits_total" st.io_exits
+      | Fault -> st.fault_exits <- tally sys "kvm_fault_exits_total" st.fault_exits
       | _ -> ());
       (* one series per cause, so exit savings show up as a shrinking
          [hypercall] series rather than a mystery delta in the total *)
-      count ~help:"KVM_RUN exits by cause" ~labels:[ ("reason", reason) ] "kvm_exits_total"
-  | Ept, _ -> count "kvm_ept_violations_total"
-  | Inject, site ->
+      if sys.telemetry <> None then
+        count sys ~help:"KVM_RUN exits by cause"
+          ~labels:[ ("reason", Vtrace.Ctx.reason_name ev.reason) ]
+          "kvm_exits_total"
+  | Ept -> st.ept_violations <- tally sys "kvm_ept_violations_total" st.ept_violations
+  | Inject ->
       let help = "fault-plan injections fired" in
-      count ~help "wasp_faults_injected_total";
-      count ~help ~labels:[ ("site", site) ] "wasp_faults_injected_total"
-  | Pool_acquire, "miss" ->
-      count "wasp_pool_misses_total";
-      instant "pool_miss"
-  | Pool_acquire, "prewarm" ->
-      count "wasp_pool_hits_total";
-      instant "pool_prewarm_hit"
-  | Pool_acquire, reason ->
-      if reason = "stall" then begin
-        count "wasp_pool_clean_stalls_total";
-        instant ~args:[ cycles () ] "clean_stall"
-      end;
-      count "wasp_pool_hits_total";
-      instant "pool_hit"
-  | Pool_release, reason ->
-      count "wasp_pool_cleans_total";
-      if reason = "async" then instant ~args:[ cycles () ] "async_clean"
-  | Pool_evict, _ -> count "wasp_pool_evictions_total"
-  | Pool_prewarm, "build" -> count "wasp_pool_prewarmed_total"
-  | Pool_prewarm, _ -> count "wasp_pool_prewarm_hits_total"
-  | Sup_backoff, _ ->
-      count "wasp_retries_total";
-      instant
-        ~args:[ ("attempt", Int64.to_string ev.nr); ("backoff", Int64.to_string ev.cycles) ]
-        "supervisor_retry"
-  | Sup_quarantine, "enter" ->
-      instant ~args:[ ("key", ev.fn); ("failures", Int64.to_string ev.nr) ] "supervisor_quarantine"
-  | Sup_quarantine, _ -> count "wasp_quarantine_rejections_total"
-  | Gateway, "shed" -> count "gateway_shed_total"
-  | Gateway, "breaker" -> count "gateway_breaker_rejections_total"
+      st.injected_faults <- tally sys ~help "wasp_faults_injected_total" st.injected_faults;
+      count sys ~help ~labels:[ ("site", Vtrace.Ctx.reason_name ev.reason) ]
+        "wasp_faults_injected_total"
   | _ -> ()
 
-let tally_exit sys reason =
-  let st = sys.stats in
-  (match reason with
-  | "hypercall" | "io_out" | "io_in" -> st.io_exits <- st.io_exits + 1
-  | "fault" -> st.fault_exits <- st.fault_exits + 1
-  | _ -> ());
-  match Hashtbl.find_opt sys.exit_reasons reason with
-  | Some r -> incr r
-  | None -> Hashtbl.replace sys.exit_reasons reason (ref 1)
-
 let emit sys (ev : Vtrace.Ctx.t) =
-  (match ev.site with
-  | Exit -> tally_exit sys ev.reason
-  | Ept -> sys.stats.ept_violations <- sys.stats.ept_violations + 1
-  | Inject -> sys.stats.injected_faults <- sys.stats.injected_faults + 1
-  | _ -> ());
+  fold_telemetry sys ev;
   if sys.observed then begin
-    (match sys.telemetry with Some h -> fold_telemetry h ev | None -> ());
     (match (sys.flight, ev.site) with
     | Some fr, (Exit | Ept | Inject) ->
         Profiler.Flight.record fr ~at:(Cycles.Clock.now (clock sys)) ev
@@ -210,6 +184,21 @@ let emit sys (ev : Vtrace.Ctx.t) =
           Option.iter (fun fr -> Profiler.Flight.append_note fr "vtrace") sys.flight
   end
 
+let active_pc sys = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0
+
+let event sys ?(core = sys.cur) ?(fn = "") ?pc ~cycles ~nr site reason =
+  {
+    Vtrace.Ctx.empty with
+    site;
+    core;
+    trace = active_trace sys;
+    fn;
+    pc = (match pc with Some pc -> pc | None -> active_pc sys);
+    reason;
+    cycles;
+    nr = Int64.of_int nr;
+  }
+
 (* Sites whose only sink is the probe engine (no stats, no counters, no
    flight entry): [listens] lets such a site skip building an event no
    attached probe would read. *)
@@ -219,6 +208,9 @@ let listens sys (site : Vtrace.Ctx.site) =
   | Ring_enter | Ring_op -> (
       match sys.probes with Some e -> Vtrace.Engine.wants e site | None -> false)
   | _ -> true
+
+let probe_event sys ?core ~cycles ~nr site reason =
+  if listens sys site then emit sys (event sys ?core ~cycles ~nr site reason)
 
 let observe sys =
   sys.observed <- sys.telemetry <> None || sys.flight <> None || sys.probes <> None
@@ -232,13 +224,8 @@ let set_probes sys e =
   sys.block_probe <-
     (match e with
     | Some eng when Vtrace.Engine.wants eng Vtrace.Ctx.Block ->
-        Some
-          (fun ~pc ->
-            emit sys
-              { Vtrace.Ctx.empty with site = Block; core = sys.cur; trace = active_trace sys; pc })
+        Some (fun ~pc -> emit sys (event sys ~pc ~cycles:0L ~nr:0 Block (Named "")))
     | _ -> None)
-
-let active_pc sys = match sys.active_cpu with Some cpu -> Vm.Cpu.pc cpu | None -> 0
 
 (* One injection fired: an [inject] event (stats, the plain and
    site-labeled [wasp_faults_injected_total], an [INJECTED] black-box
@@ -250,29 +237,24 @@ let plan_fires sys site =
   | None -> false
   | Some plan ->
       let fire = Cycles.Fault_plan.fires plan ~site in
-      if fire then
-        emit sys
-          {
-            Vtrace.Ctx.empty with
-            site = Inject;
-            core = sys.cur;
-            trace = active_trace sys;
-            pc = active_pc sys;
-            reason = site;
-          };
+      if fire then emit sys (event sys ~cycles:0L ~nr:0 Inject (Named site));
       fire
 
 let kspan sys name f =
   match sys.telemetry with None -> f () | Some h -> Telemetry.Hub.with_span h name f
 
 let exit_reason_counts sys =
-  Hashtbl.fold (fun reason r acc -> (reason, !r) :: acc) sys.exit_reasons []
+  List.filter_map
+    (fun r ->
+      match sys.exits.(exit_index r) with
+      | 0 -> None
+      | n -> Some (Vtrace.Ctx.reason_name r, n))
+    (Vtrace.Ctx.reasons Exit)
   |> List.sort compare
 
 let charge sys cycles = Cycles.Clock.advance_int (clock sys) (Cycles.Costs.jitter sys.rng ~pct:0.05 cycles)
 
 let create_vm sys =
-  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_vm_creations_total") sys.telemetry;
   kspan sys "kvm_create_vm" (fun () ->
       (* fault plan: KVM_CREATE_VM can fail (the kernel's VMCS/VMCB
          allocation returning ENOMEM). The failed ioctl still pays its
@@ -282,7 +264,7 @@ let create_vm sys =
         raise (Injected_failure site_provision_fail)
       end;
       charge sys Cycles.Costs.kvm_create_vm;
-      sys.stats.vm_creations <- sys.stats.vm_creations + 1;
+      sys.stats.vm_creations <- tally sys "kvm_vm_creations_total" sys.stats.vm_creations;
       { sys; memory = None })
 
 (* A CoW break of a shared guest page: the simulated EPT write-protection
@@ -297,17 +279,7 @@ let on_page_fault sys ~shared ~page =
       Cycles.Costs.ept_violation + Cycles.Costs.memcpy_cost Vm.Memory.page_size
     in
     Cycles.Clock.advance_int (clock sys) cost;
-    emit sys
-      {
-        Vtrace.Ctx.empty with
-        site = Ept;
-        core = sys.cur;
-        trace = active_trace sys;
-        pc = active_pc sys;
-        reason = "cow_break";
-        cycles = Int64.of_int cost;
-        nr = Int64.of_int page;
-      }
+    emit sys (event sys ~cycles:(Int64.of_int cost) ~nr:page Ept Cow_break)
   end
 
 let set_user_memory_region vm ~size =
@@ -328,10 +300,10 @@ let vm_memory vm =
 let vm_system vm = vm.sys
 
 let create_vcpu vm ~mode =
-  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_vcpu_creations_total") vm.sys.telemetry;
-  kspan vm.sys "kvm_create_vcpu" (fun () ->
-      charge vm.sys Cycles.Costs.kvm_create_vcpu;
-      vm.sys.stats.vcpu_creations <- vm.sys.stats.vcpu_creations + 1;
+  let sys = vm.sys in
+  kspan sys "kvm_create_vcpu" (fun () ->
+      charge sys Cycles.Costs.kvm_create_vcpu;
+      sys.stats.vcpu_creations <- tally sys "kvm_vcpu_creations_total" sys.stats.vcpu_creations;
       (* the vCPU charges the clock of the core that created it: shells
          stay in their owning core's pool shard, so guest execution is
          always billed to that core *)
@@ -342,35 +314,32 @@ let vcpu_cpu v = v.cpu
 let vcpu_vm v = v.parent
 let translation_stats sys = sys.translation
 
-let reset_vcpu v ~mode =
-  Vm.Cpu.reset v.cpu ~mode;
-  (* shell reuse: the pool's reset_zero already epoch-invalidates every
-     block; dropping them too keeps the table from accreting garbage *)
-  Vm.Translate.flush_cache v.trans
+(* Shell reuse: the pool's reset_zero bumps the memory epoch, so the
+   first dispatch on the reused vCPU empties its translation table. *)
+let reset_vcpu v ~mode = Vm.Cpu.reset v.cpu ~mode
 
 (* The "exit" event of one KVM_RUN: [cycles] is the run's entry-to-exit
-   duration on the current core's clock. *)
-let emit_exit sys v ~t0 ~fuel ~port ~value ~nr ~detail reason =
+   duration on the current core's clock; [port], [value] and [detail]
+   are the flight ring's payload. *)
+let emit_exit sys v ~t0 ~fuel (exit : Vm.Cpu.exit_reason) =
+  let reason, port, value, nr, detail =
+    match exit with
+    | Halt -> (Vtrace.Ctx.Hlt, 0, 0L, 0L, "")
+    | Io_out { port; value } when (match sys.hc_port with Some p -> p = port | None -> false) ->
+        (Hypercall, port, value, value, "")
+    | Io_out { port; value } -> (Io_out, port, value, Int64.of_int port, "")
+    | Io_in { port; reg = _ } -> (Io_in, port, 0L, Int64.of_int port, "")
+    | Fault _ -> (Fault, 0, 0L, 0L, Format.asprintf "%a" Vm.Cpu.pp_exit exit)
+    | Out_of_fuel -> (Fuel, 0, 0L, 0L, "")
+  in
+  let cycles = Int64.sub (Cycles.Clock.now (clock sys)) t0 and fuel = Option.value fuel ~default:0 in
   emit sys
-    {
-      site = Exit;
-      core = sys.cur;
-      trace = active_trace sys;
-      fn = "";
-      pc = Vm.Cpu.pc v.cpu;
-      reason;
-      cycles = Int64.sub (Cycles.Clock.now (clock sys)) t0;
-      fuel = Option.value fuel ~default:0;
-      nr;
-      port;
-      value;
-      detail;
-    }
+    { site = Exit; core = sys.cur; trace = active_trace sys; fn = ""; pc = Vm.Cpu.pc v.cpu;
+      reason; cycles; fuel; nr; port; value; detail }
 
 let run ?fuel v =
   let sys = v.parent.sys in
-  sys.stats.runs <- sys.stats.runs + 1;
-  Option.iter (fun h -> Telemetry.Hub.incr h "kvm_runs_total") sys.telemetry;
+  sys.stats.runs <- tally sys "kvm_runs_total" sys.stats.runs;
   let t0 = Cycles.Clock.now (clock sys) in
   Vm.Translate.set_block_hook v.trans sys.block_probe;
   let exit =
@@ -405,20 +374,7 @@ let run ?fuel v =
         charge sys Cycles.Costs.vmexit;
         exit)
   in
-  (match exit with
-  | Vm.Cpu.Halt -> emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "hlt"
-  | Vm.Cpu.Io_out { port; value } -> (
-      match sys.hc_port with
-      | Some p when p = port ->
-          emit_exit sys v ~t0 ~fuel ~port ~value ~nr:value ~detail:"" "hypercall"
-      | _ -> emit_exit sys v ~t0 ~fuel ~port ~value ~nr:(Int64.of_int port) ~detail:"" "io_out")
-  | Vm.Cpu.Io_in { port; reg = _ } ->
-      emit_exit sys v ~t0 ~fuel ~port ~value:0L ~nr:(Int64.of_int port) ~detail:"" "io_in"
-  | Vm.Cpu.Fault _ ->
-      emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L
-        ~detail:(Format.asprintf "%a" Vm.Cpu.pp_exit exit)
-        "fault"
-  | Vm.Cpu.Out_of_fuel -> emit_exit sys v ~t0 ~fuel ~port:0 ~value:0L ~nr:0L ~detail:"" "fuel");
+  emit_exit sys v ~t0 ~fuel exit;
   exit
 
 (* Background shell construction for the pool's pipelined prewarm: the
@@ -431,8 +387,8 @@ let run ?fuel v =
 let build_shell sys ~core ~size ~mode =
   if core < 0 || core >= Array.length sys.clocks then
     invalid_arg "Kvm.build_shell: no such core";
-  sys.stats.vm_creations <- sys.stats.vm_creations + 1;
-  sys.stats.vcpu_creations <- sys.stats.vcpu_creations + 1;
+  sys.stats.vm_creations <- tally sys "kvm_vm_creations_total" sys.stats.vm_creations;
+  sys.stats.vcpu_creations <- tally sys "kvm_vcpu_creations_total" sys.stats.vcpu_creations;
   let vm = { sys; memory = None } in
   let mem = Vm.Memory.create ~size in
   Vm.Memory.set_fault_hook mem

@@ -116,27 +116,48 @@ val translation_stats : system -> Vm.Translate.stats
 val exit_reason_counts : system -> (string * int) list
 (** Always-on per-reason tally of every {!run} return — the
     [kvm_exits_total{reason}] series ([hlt]/[hypercall]/[io_out]/
-    [io_in]/[fault]/[fuel]) readable without a telemetry hub, sorted by
-    reason. The fuzzer hashes it (with the flight ring's exit-edge
-    pairs) into its coverage bitmap after each candidate. *)
+    [io_in]/[fault]/[fuel]) readable without a telemetry hub, reasons
+    that never occurred omitted, sorted by reason. Kept as an array
+    indexed by exit kind. The fuzzer hashes it (with the flight ring's
+    exit-edge pairs) into its coverage bitmap after each candidate. *)
 
 (** {2 The event stream}
 
     Every instrumentation site — here and in the layers above, which all
-    share this system — builds one {!Vtrace.Ctx.t} per occurrence and
-    hands it to {!emit}. The sinks are folds over it: {!stats} and
-    {!exit_reason_counts} (always on), the hub's per-site counters and
-    instants, the flight ring ([exit], [ept], [inject]) and the probe
-    engine. With none of the three attached an event costs its stats
+    share this system — builds one {!Vtrace.Ctx.t} per occurrence with
+    {!event} and hands it to {!emit}. A layer that keeps a stats record
+    folds its own events into that record and the matching counter (one
+    arm per reason, through {!tally}) before emitting; {!emit} does the
+    same for KVM's own facts ([exit], [ept], [inject]: {!stats},
+    {!exit_reason_counts}), then feeds the flight ring and the probe
+    engine. With no hub, ring or probe attached an event costs its stats
     fold and one branch; no sink charges simulated cycles. See
     [docs/observability.md]. *)
 
+val event :
+  system -> ?core:int -> ?fn:string -> ?pc:int -> cycles:int64 -> nr:int ->
+  Vtrace.Ctx.site -> Vtrace.Ctx.reason -> Vtrace.Ctx.t
+(** The one event constructor: stamps [core] (default the current
+    core), the active trace and [pc] (default the PC of the vCPU inside
+    [KVM_RUN], 0 outside one). *)
+
 val emit : system -> Vtrace.Ctx.t -> unit
 
-val listens : system -> Vtrace.Ctx.site -> bool
-(** False only for a site whose sole sink is the probe engine when no
-    attached probe targets it; hot sites check it before building their
-    event. *)
+val probe_event :
+  system -> ?core:int -> cycles:int64 -> nr:int -> Vtrace.Ctx.site -> Vtrace.Ctx.reason -> unit
+(** {!event} then {!emit} for sites whose only sink is the probe engine
+    (hypercall, ring, scheduler): nothing is built unless an attached
+    probe targets the site. *)
+
+val count : system -> ?help:string -> ?labels:(string * string) list -> ?by:int -> string -> unit
+(** Bump a counter on the attached hub, if any. *)
+
+val tally : system -> ?help:string -> ?by:int -> string -> int -> int
+(** [tally sys name v] counts [name] and returns [v + by], so a stats
+    field and its counter advance in one expression. *)
+
+val instant : system -> ?args:(string * string) list -> string -> unit
+(** A span-sink instant on the attached hub, if any. *)
 
 val set_telemetry : system -> Telemetry.Hub.t option -> unit
 (** Attach (or detach) a telemetry hub: event counters and instants land
@@ -146,11 +167,6 @@ val set_telemetry : system -> Telemetry.Hub.t option -> unit
     system's clock. *)
 
 val telemetry : system -> Telemetry.Hub.t option
-
-val active_trace : system -> int64 option
-(** Trace id of the innermost open span on the attached hub ([None]
-    without a hub, with tracing off, or outside any span) — the [trace]
-    field sites stamp on their events. *)
 
 val set_flight : system -> Profiler.Flight.t option -> unit
 (** Attach (or detach) a flight recorder: every VM exit {!run} observes
@@ -180,7 +196,9 @@ val set_hc_port : system -> int option -> unit
     written (the hypercall number). *)
 
 val create_vm : system -> vm
-(** [KVM_CREATE_VM]: charges the in-kernel allocation cost. *)
+(** [KVM_CREATE_VM]: charges the in-kernel allocation cost. A creation
+    is counted ([stats.vm_creations], [kvm_vm_creations_total]) only
+    when the ioctl succeeds, not when the fault plan fails it. *)
 
 val set_user_memory_region : vm -> size:int -> Vm.Memory.t
 (** Allocate and register guest memory; charges the memslot setup cost.
@@ -204,8 +222,10 @@ val vcpu_cpu : vcpu -> Vm.Cpu.t
 val vcpu_vm : vcpu -> vm
 
 val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
-(** Clear architectural state for shell reuse and drop the vCPU's
-    translated blocks; memory is untouched. *)
+(** Clear architectural state for shell reuse; memory is untouched.
+    Translated blocks need no flush: every reused shell's memory went
+    through {!Vm.Memory.reset_zero}, whose epoch bump empties the
+    vCPU's translation table at its next dispatch. *)
 
 val run : ?fuel:int -> vcpu -> Vm.Cpu.exit_reason
 (** The [KVM_RUN] ioctl: charges syscall entry, in-kernel checks and VM
@@ -222,4 +242,4 @@ val build_shell : system -> core:int -> size:int -> mode:Vm.Modes.t -> vcpu
     the caller accounts the deterministic construction cost against an
     idle-cycle budget (see {!Wasp.Pool}). The vCPU is bound to [core]'s
     clock so a prewarmed shell later executes on its owning shard's
-    clock. Creation stats are still bumped. *)
+    clock. Creation stats and their counters are still bumped. *)

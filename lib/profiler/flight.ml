@@ -61,15 +61,32 @@ let entries t =
       let i = (first + k) mod t.capacity in
       { seq = t.total - n + k; at = Int64.of_int t.ats.(i); event = t.events.(i); note = t.notes.(i) })
 
-let describe (ev : Vtrace.Ctx.t) =
+(* What an entry records, the one case analysis the dump and the
+   fuzzer's exit-edge coverage both render: a hypercall exit is an
+   [Io_out] on the hypercall port. *)
+type kind =
+  | Ept_break of int64 | Injected of string | Hlt | Io_in of int | Io_out of int * int64
+  | Fault of string | Fuel
+
+let kind (ev : Vtrace.Ctx.t) =
   match (ev.site, ev.reason) with
-  | Ept, _ -> Printf.sprintf "ept_violation page=%Ld" ev.nr
-  | Inject, site -> "INJECTED " ^ site
-  | _, "hlt" -> "hlt"
-  | _, "io_in" -> Printf.sprintf "io_in port=0x%x" ev.port
-  | _, "fault" -> "FAULT " ^ ev.detail
-  | _, "fuel" -> "out_of_fuel"
-  | _ -> Printf.sprintf "io_out port=0x%x value=%Ld" ev.port ev.value
+  | Ept, _ -> Ept_break ev.nr
+  | Inject, site -> Injected (Vtrace.Ctx.reason_name site)
+  | _, Vtrace.Ctx.Hlt -> Hlt
+  | _, Io_in -> Io_in ev.port
+  | _, Fault -> Fault ev.detail
+  | _, Fuel -> Fuel
+  | _ -> Io_out (ev.port, ev.value)
+
+let describe ev =
+  match kind ev with
+  | Ept_break page -> Printf.sprintf "ept_violation page=%Ld" page
+  | Injected site -> "INJECTED " ^ site
+  | Hlt -> "hlt"
+  | Io_in port -> Printf.sprintf "io_in port=0x%x" port
+  | Fault detail -> "FAULT " ^ detail
+  | Fuel -> "out_of_fuel"
+  | Io_out (port, value) -> Printf.sprintf "io_out port=0x%x value=%Ld" port value
 
 let pp_entry ppf e =
   let ev = e.event in

@@ -48,6 +48,15 @@ val append_note : t -> string -> unit
 val entries : t -> entry list
 (** Retained entries, oldest first. *)
 
+(** What an entry records: [Ept_break page], [Injected site], or the
+    exit's kind with its payload ([Io_in port], [Io_out (port, value)],
+    [Fault detail]); a hypercall exit is an [Io_out]. *)
+type kind =
+  | Ept_break of int64 | Injected of string | Hlt | Io_in of int | Io_out of int * int64
+  | Fault of string | Fuel
+
+val kind : Vtrace.Ctx.t -> kind
+
 val pp_entry : Format.formatter -> entry -> unit
 
 val dump : t -> reason:string -> string

@@ -105,25 +105,18 @@ let slo_latency t cycles =
   | Some (_, lat) -> Telemetry.Slo.record_latency lat cycles
   | None -> ()
 
-(* The "gateway" event: one per admission decision, folded into the
-   refusal tallies and then into the system's sinks. *)
-let emit t ~fn ~reason ~cycles =
-  (match reason with
-  | "shed" -> t.shed_count <- t.shed_count + 1
-  | "breaker" -> t.breaker_rejections <- t.breaker_rejections + 1
+(* The "gateway" event: one per admission decision. A refusal advances
+   its tally and counter together; then the event goes to the system's
+   sinks. *)
+let emit t reason ~fn ~cycles =
+  let sys = Wasp.Runtime.kvm (Vespid.runtime t.platform) in
+  (match (reason : Vtrace.Ctx.reason) with
+  | Shed -> t.shed_count <- Kvmsim.Kvm.tally sys "gateway_shed_total" t.shed_count
+  | Breaker ->
+      t.breaker_rejections <-
+        Kvmsim.Kvm.tally sys "gateway_breaker_rejections_total" t.breaker_rejections
   | _ -> ());
-  let rt = Vespid.runtime t.platform in
-  let sys = Wasp.Runtime.kvm rt in
-  Kvmsim.Kvm.emit sys
-    {
-      Vtrace.Ctx.empty with
-      site = Gateway;
-      core = Wasp.Runtime.current_core rt;
-      trace = Kvmsim.Kvm.active_trace sys;
-      fn;
-      reason;
-      cycles;
-    }
+  Kvmsim.Kvm.emit sys (Kvmsim.Kvm.event sys ~fn ~cycles ~nr:0 Gateway reason)
 
 let breaker_for t name =
   match Hashtbl.find_opt t.breakers name with
@@ -226,7 +219,7 @@ let parse_register_target seg =
 
 let invoke t name body =
   if not (try_take_token t) then begin
-    emit t ~fn:name ~reason:"shed" ~cycles:0L;
+    emit t Shed ~fn:name ~cycles:0L;
     slo_availability t ~good:false;
     respond ~status:429 "overloaded, request shed\n"
   end
@@ -243,7 +236,7 @@ let invoke t name body =
     | Open | Half_open | Closed -> ());
     match b.state with
     | Open ->
-        emit t ~fn:name ~reason:"breaker" ~cycles:0L;
+        emit t Breaker ~fn:name ~cycles:0L;
         slo_availability t ~good:false;
         respond ~status:503 (Printf.sprintf "circuit open for %s\n" name)
     | Closed | Half_open -> (
@@ -255,18 +248,18 @@ let invoke t name body =
         with
         | Ok out, cycles ->
             note_success t name b;
-            emit t ~fn:name ~reason:"ok" ~cycles;
+            emit t Ok ~fn:name ~cycles;
             slo_availability t ~good:true;
             slo_latency t cycles;
             respond ~status:200 out
         | Error e, cycles ->
             note_failure t name b;
-            emit t ~fn:name ~reason:"error" ~cycles;
+            emit t Error ~fn:name ~cycles;
             slo_availability t ~good:false;
             respond ~status:500 (Printf.sprintf "function error: %s\n" e)
         | exception Vespid.Unknown_function _ ->
             (* a bad name says nothing about the function's health *)
-            emit t ~fn:name ~reason:"not_found" ~cycles:0L;
+            emit t Not_found ~fn:name ~cycles:0L;
             respond ~status:404 (Printf.sprintf "no such function: %s\n" name))
   end
 

@@ -129,7 +129,9 @@ let run_cores ?(freq_ghz = 2.69) ?(think_time_s = 0.05) ?(steal = true) ?on_comp
         else spent)
       clocks
   in
-  Dessim.Cores.set_emit sched (Some (Kvmsim.Kvm.emit (Wasp.Runtime.kvm runtime)));
+  Dessim.Cores.set_emit sched
+    (Some (fun site ~core ~reason ~cycles ~nr ->
+         Kvmsim.Kvm.probe_event (Wasp.Runtime.kvm runtime) ~core ~cycles ~nr site reason));
   let samples = ref [] in
   let think = Int64.of_float (think_time_s *. cps) in
   let phase_windows =

@@ -97,7 +97,6 @@ let create ?(stats = new_stats ()) cpu =
   }
 
 let stats t = t.stats
-let flush_cache t = Hashtbl.reset t.table
 let set_block_hook t h = t.block_hook <- h
 
 (* Commit batched charges. Idempotent; called at every observation

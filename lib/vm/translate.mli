@@ -12,8 +12,9 @@
     chain slots included. Only changed bytes cost a retranslation, so
     data that shares a page with code (crt0's heap init loop, say) no
     longer thrashes the cache. A pool reset's epoch bump still drops
-    every block ({!flush_cache}): keeping blocks across shell reuse
-    would grow the live heap by every image the shell ever ran.
+    every block, at the reused shell's first dispatch: keeping blocks
+    across shell reuse would grow the live heap by every image the
+    shell ever ran.
 
     Observationally identical to the interpreter: same faults at the
     same PCs, same exits, bit-for-bit identical cycle counts and retired
@@ -55,11 +56,6 @@ val run : ?fuel:int -> t -> Cpu.exit_reason
 (** Execute until a VM exit, like {!Cpu.run} (same default fuel,
     resumable after I/O exits, PC rewound to the faulting instruction on
     [Fault]). *)
-
-val flush_cache : t -> unit
-(** Drop every translated block (vcpu reset). Purely a performance
-    event — stale blocks are also caught by validation — that keeps a
-    recycled shell's table from holding the previous image's blocks. *)
 
 val set_block_hook : t -> (pc:int -> unit) option -> unit
 (** Install (or clear) a block-entry observer: called once per

@@ -6,6 +6,19 @@
     itself deterministic (virtual clocks, seeded RNGs), so predicate
     evaluation and aggregation are replay-stable. *)
 
+(** Why an event happened: one constructor per fixed reason (exit,
+    [ept], pool, supervisor, gateway, scheduler). [Named] carries the
+    open-ended ones: hypercall and ring-op names, opcode keys, fault-plan
+    sites and error classes. Rendered as a string ({!reason_name}) only
+    at the edges: the Prometheus label, the probe field, the flight dump. *)
+type reason =
+  | Hlt | Hypercall | Io_out | Io_in | Fault | Fuel | Cow_break
+  | Hit | Miss | Stall | Prewarm | Sync | Async | Scheduled | Lru | Build | Take
+  | Retry | Enter | Reject | Ok | Shed | Breaker | Error | Not_found
+  | Local | Stolen | Steal | Wait | Named of string
+
+val reason_name : reason -> string
+
 (** The site catalog, in documentation order (see [docs/vtrace.md]). *)
 type site =
   | Exit | Hypercall | Hypercall_ret | Ept | Inject | Block | Instr
@@ -21,13 +34,16 @@ val site_name : site -> string
 
 val site_of_string : string -> site option
 
+val reasons : site -> reason list
+(** A site's fixed reasons, in documentation order ([Named] ones aside). *)
+
 type t = {
   site : site;
   core : int;  (** simulated core the event happened on *)
   trace : int64 option;  (** active causal trace id, if tracing *)
   fn : string;  (** function/image name ("" when unknown at the site) *)
   pc : int;  (** guest program counter, 0 when not meaningful *)
-  reason : string;  (** site-specific discriminator, e.g. exit reason *)
+  reason : reason;  (** site-specific discriminator, e.g. exit reason *)
   cycles : int64;  (** site-specific cycle measure (duration/cost) *)
   fuel : int;  (** fuel limit in force, 0 when none *)
   nr : int64;  (** site-specific numeric operand (hc nr, page, port…) *)
@@ -37,8 +53,8 @@ type t = {
 }
 
 val empty : t
-(** An [Exit] event with every other field zero/empty: sites build
-    theirs as [{ empty with site; ... }], one allocation. *)
+(** An [Exit] event with every other field zero/empty ([reason] is
+    [Named ""]). Sites build theirs with {!Kvmsim.Kvm.event}. *)
 
 type value = Int of int64 | Str of string
 

@@ -79,46 +79,48 @@ let create ?(capacity = 64) sys ~clean =
 
 let stats t = t.stats
 
-(* The stats fold: what each pool event adds to the pool's own record. *)
-let account (s : stats) (ev : Vtrace.Ctx.t) =
-  let cycles = ev.cycles in
-  match (ev.site, ev.reason) with
-  | Pool_acquire, "miss" -> s.created <- s.created + 1
-  | Pool_acquire, reason ->
-      if reason = "stall" then begin
-        s.clean_stalls <- s.clean_stalls + 1;
-        s.stall_cycles <- Int64.add s.stall_cycles cycles;
-        s.background_cycles <- Int64.add s.background_cycles cycles
-      end;
-      s.reused <- s.reused + 1
-  | Pool_release, reason ->
-      s.cleans <- s.cleans + 1;
-      if reason = "async" then s.background_cycles <- Int64.add s.background_cycles cycles
-  | Pool_evict, _ -> s.evicted <- s.evicted + 1
-  | Pool_prewarm, "build" ->
-      s.prewarmed <- s.prewarmed + 1;
-      s.background_cycles <- Int64.add s.background_cycles cycles
-  | Pool_prewarm, _ -> s.prewarm_hits <- s.prewarm_hits + 1
-  | _ -> ()
-
-(* One pool event: folded into the stats, then into the system's sinks.
-   Zero simulated cycles. *)
-let emit t site ~reason ~cycles ~nr =
-  let ev =
-    {
-      Vtrace.Ctx.empty with
-      site;
-      core = Kvmsim.Kvm.current_core t.sys;
-      trace = Kvmsim.Kvm.active_trace t.sys;
-      reason;
-      cycles;
-      nr = Int64.of_int nr;
-    }
-  in
-  account t.stats ev;
-  Kvmsim.Kvm.emit t.sys ev
-
 let hub t = Kvmsim.Kvm.telemetry t.sys
+
+let instant_cycles t name cycles =
+  match hub t with
+  | Some h -> Telemetry.Hub.instant h ~args:[ ("cycles", Int64.to_string cycles) ] name
+  | None -> ()
+
+(* One pool event, zero simulated cycles: each reason advances its stats
+   fields and counter together, in one arm, and adds the instant a
+   traced run shows; then the event goes to the system's sinks. *)
+let emit t site reason ~cycles ~nr =
+  let module K = Kvmsim.Kvm in
+  let s = t.stats and sys = t.sys in
+  (match (reason : Vtrace.Ctx.reason) with
+  | Miss ->
+      s.created <- K.tally sys "wasp_pool_misses_total" s.created;
+      K.instant sys "pool_miss"
+  | Hit ->
+      s.reused <- K.tally sys "wasp_pool_hits_total" s.reused;
+      K.instant sys "pool_hit"
+  | Stall ->
+      s.clean_stalls <- K.tally sys "wasp_pool_clean_stalls_total" s.clean_stalls;
+      s.stall_cycles <- Int64.add s.stall_cycles cycles;
+      s.background_cycles <- Int64.add s.background_cycles cycles;
+      instant_cycles t "clean_stall" cycles;
+      s.reused <- K.tally sys "wasp_pool_hits_total" s.reused;
+      K.instant sys "pool_hit"
+  | Prewarm ->
+      s.reused <- K.tally sys "wasp_pool_hits_total" s.reused;
+      K.instant sys "pool_prewarm_hit"
+  | Sync | Scheduled -> s.cleans <- K.tally sys "wasp_pool_cleans_total" s.cleans
+  | Async ->
+      s.cleans <- K.tally sys "wasp_pool_cleans_total" s.cleans;
+      s.background_cycles <- Int64.add s.background_cycles cycles;
+      instant_cycles t "async_clean" cycles
+  | Lru -> s.evicted <- K.tally sys "wasp_pool_evictions_total" s.evicted
+  | Build ->
+      s.prewarmed <- K.tally sys "wasp_pool_prewarmed_total" s.prewarmed;
+      s.background_cycles <- Int64.add s.background_cycles cycles
+  | Take -> s.prewarm_hits <- K.tally sys "wasp_pool_prewarm_hits_total" s.prewarm_hits
+  | _ -> ());
+  K.emit sys (K.event sys ~cycles ~nr site reason)
 
 let set_reclaim_policy t policy = t.policy <- policy
 let reclaim_policy t = t.policy
@@ -181,7 +183,7 @@ let evict_lru t shard =
       | _oldest :: rest_rev ->
           l := List.rev rest_rev;
           shard.cached_count <- shard.cached_count - 1;
-          emit t Pool_evict ~reason:"lru" ~cycles:0L ~nr:mem_size)
+          emit t Pool_evict Lru ~cycles:0L ~nr:mem_size)
 
 (* Return a cleaned shell to its shard's cache, evicting the LRU entry
    when the shard is over capacity. *)
@@ -254,7 +256,7 @@ let build_prewarmed t ~core ~mem_size ~mode =
     { vm; vcpu; mem = Kvmsim.Kvm.vm_memory vm; mem_size; home = core }
   in
   Queue.push shell t.shards.(core).prewarmed;
-  emit t Pool_prewarm ~reason:"build" ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
+  emit t Pool_prewarm Build ~cycles:(Int64.of_int shell_cost) ~nr:mem_size
 
 let prewarm_step t ~core ~budget =
   match t.prewarm with
@@ -280,7 +282,7 @@ let take_prewarmed t ~mem_size ~mode =
          vCPU reset into the requested mode — never the creation path. *)
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) Cycles.Costs.ioctl_syscall;
       Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
-      emit t Pool_prewarm ~reason:"take" ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
+      emit t Pool_prewarm Take ~cycles:(Int64.of_int Cycles.Costs.ioctl_syscall)
         ~nr:mem_size;
       (* Standalone (Eager) mode assumes the background builder keeps
          up, mirroring Async+Eager cleaning: refill immediately as
@@ -298,7 +300,7 @@ let take_prewarmed t ~mem_size ~mode =
   | Some _ | None -> None
 
 let create_shell t ~mem_size ~mode =
-  emit t Pool_acquire ~reason:"miss" ~cycles:0L ~nr:mem_size;
+  emit t Pool_acquire Miss ~cycles:0L ~nr:mem_size;
   let vm = Kvmsim.Kvm.create_vm t.sys in
   let mem = Kvmsim.Kvm.set_user_memory_region vm ~size:mem_size in
   let vcpu = Kvmsim.Kvm.create_vcpu vm ~mode in
@@ -317,11 +319,11 @@ let acquire t ~mem_size ~mode =
           "pool_acquire" f
   in
   tspan @@ fun () ->
-  let acquired reason ~cycles = emit t Pool_acquire ~reason ~cycles ~nr:mem_size in
+  let acquired reason ~cycles = emit t Pool_acquire reason ~cycles ~nr:mem_size in
   let result =
     match pop_cached shard mem_size with
     | Some shell ->
-        acquired "hit" ~cycles:0L;
+        acquired Hit ~cycles:0L;
         Kvmsim.Kvm.reset_vcpu shell.vcpu ~mode;
         (shell, true)
     | None -> (
@@ -332,7 +334,7 @@ let acquire t ~mem_size ~mode =
                remaining cycles — this is where deferred cleaning becomes
                visible in tail latency. *)
             Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) p.remaining;
-            acquired "stall" ~cycles:(Int64.of_int p.remaining);
+            acquired Stall ~cycles:(Int64.of_int p.remaining);
             note_reclaim t shard;
             Kvmsim.Kvm.reset_vcpu p.p_shell.vcpu ~mode;
             (p.p_shell, true)
@@ -341,7 +343,7 @@ let acquire t ~mem_size ~mode =
             | Some shell ->
                 (* Pipelined pre-boot hit: the shell was built on idle
                    cycles, so the acquire pays only the handoff. *)
-                acquired "prewarm" ~cycles:0L;
+                acquired Prewarm ~cycles:0L;
                 (shell, true)
             | None -> (create_shell t ~mem_size ~mode, false)))
   in
@@ -357,19 +359,19 @@ let release t shell =
   let cost = Cycles.Costs.memset_cost shell.mem_size in
   match (t.clean, t.policy) with
   | Sync, _ ->
-      emit t Pool_release ~reason:"sync" ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
+      emit t Pool_release Sync ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
       Cycles.Clock.advance_int (Kvmsim.Kvm.clock t.sys) cost;
       cache t shell
   | Async, Eager ->
       (* standalone mode: a dedicated cleaner thread is assumed to keep
          up, so the cost is pure background work *)
-      emit t Pool_release ~reason:"async" ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
+      emit t Pool_release Async ~cycles:(Int64.of_int cost) ~nr:shell.mem_size;
       tgauge t "wasp_pool_background_cycles" (Int64.to_float t.stats.background_cycles);
       cache t shell
   | Async, Scheduled ->
       (* scheduler mode: the shell is unavailable until a cleaner core
          drains it (or an acquire stalls on it) *)
-      emit t Pool_release ~reason:"scheduled" ~cycles:(Int64.of_int cost)
+      emit t Pool_release Scheduled ~cycles:(Int64.of_int cost)
         ~nr:shell.mem_size;
       let shard = t.shards.(shell.home) in
       Queue.push { p_shell = shell; remaining = cost } shard.reclaim;

@@ -112,27 +112,8 @@ let fault_plan t = Kvmsim.Kvm.fault_plan t.sys
 let tspan t ?args name f =
   match telemetry t with None -> f () | Some h -> Telemetry.Hub.with_span h ?args name f
 
-let tincr t ?by name =
-  match telemetry t with None -> () | Some h -> Telemetry.Hub.incr h ?by name
-
 let tobserve t name v =
   match telemetry t with None -> () | Some h -> Telemetry.Hub.observe h name v
-
-(* One runtime event (hypercall or ring site) into the system's sinks;
-   zero simulated cycles. These sites feed probes only, so the event is
-   built only when a probe listens. *)
-let emit_event t site ~reason ~cycles ~nr =
-  if Kvmsim.Kvm.listens t.sys site then
-    Kvmsim.Kvm.emit t.sys
-      {
-        Vtrace.Ctx.empty with
-        site;
-        core = current_core t;
-        trace = Kvmsim.Kvm.active_trace t.sys;
-        reason;
-        cycles;
-        nr = Int64.of_int nr;
-      }
 
 type outcome = Exited of int64 | Faulted of Vm.Cpu.fault | Fuel_exhausted
 
@@ -151,28 +132,18 @@ type result = {
 
 let charge t cycles = Cycles.Clock.advance_int (clock t) cycles
 
+(* Each stats field advances with its [wasp_*] counter. *)
 let record_result t outcome ~hypercalls ~denied ~from_snapshot =
-  let s = t.run_stats in
-  s.invocations <- s.invocations + 1;
-  tincr t "wasp_invocations_total";
+  let s = t.run_stats and tally = Kvmsim.Kvm.tally t.sys in
+  s.invocations <- tally "wasp_invocations_total" s.invocations;
   (match outcome with
-  | Exited _ ->
-      s.exited <- s.exited + 1;
-      tincr t "wasp_exited_total"
-  | Faulted _ ->
-      s.faulted <- s.faulted + 1;
-      tincr t "wasp_faulted_total"
-  | Fuel_exhausted ->
-      s.fuel_exhausted <- s.fuel_exhausted + 1;
-      tincr t "wasp_fuel_exhausted_total");
-  s.hypercalls <- s.hypercalls + hypercalls;
-  s.denied <- s.denied + denied;
-  tincr t ~by:hypercalls "wasp_hypercalls_total";
-  tincr t ~by:denied "wasp_denied_hypercalls_total";
-  if from_snapshot then begin
-    s.snapshot_restores <- s.snapshot_restores + 1;
-    tincr t "wasp_snapshot_restores_total"
-  end
+  | Exited _ -> s.exited <- tally "wasp_exited_total" s.exited
+  | Faulted _ -> s.faulted <- tally "wasp_faulted_total" s.faulted
+  | Fuel_exhausted -> s.fuel_exhausted <- tally "wasp_fuel_exhausted_total" s.fuel_exhausted);
+  s.hypercalls <- tally ~by:hypercalls "wasp_hypercalls_total" s.hypercalls;
+  s.denied <- tally ~by:denied "wasp_denied_hypercalls_total" s.denied;
+  if from_snapshot then
+    s.snapshot_restores <- tally "wasp_snapshot_restores_total" s.snapshot_restores
 
 (* Page-sharing gauges, refreshed at the end of every invocation (free:
    gauges charge no cycles). *)
@@ -243,7 +214,7 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
       inv.hypercalls <- inv.hypercalls + 1;
       (* "hypercall" / "hypercall_ret" events bracket the dispatch: the
          return carries the handler's charged cycles. *)
-      emit_event t Hypercall ~reason:(Hc.name nr) ~cycles:0L ~nr;
+      Kvmsim.Kvm.probe_event t.sys ~cycles:0L ~nr Hypercall (Named (Hc.name nr));
       let hc_start = Cycles.Clock.now (clock t) in
       let r0 =
         if not allowed then begin
@@ -273,9 +244,9 @@ let dispatch t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot nr args =
                   Hc.err_inval)
         end
       in
-      emit_event t Hypercall_ret ~reason:(Hc.name nr)
+      Kvmsim.Kvm.probe_event t.sys ~nr
         ~cycles:(Cycles.Clock.elapsed_since (clock t) hc_start)
-        ~nr;
+        Hypercall_ret (Named (Hc.name nr));
       r0)
 
 let no_overrides (_ : int) : Inv.handler option = None
@@ -302,13 +273,13 @@ type drain_outcome = Drain_done of int64 | Drain_fault of Vm.Cpu.fault
    of a full exit/entry round trip: that difference is the entire point
    of the ring. See docs/hypercalls.md for the ABI. *)
 let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel_left =
-  tincr t "wasp_ring_enters_total";
+  Kvmsim.Kvm.count t.sys "wasp_ring_enters_total";
   inv.hypercalls <- inv.hypercalls + 1;
   (* A corrupt ring header is indistinguishable from any other wild
      guest write: the whole doorbell completes as a contained guest
      fault (retryable under supervision), with a black-box dump. *)
   let corrupt reason =
-    tincr t "wasp_ring_corrupt_total";
+    Kvmsim.Kvm.count t.sys "wasp_ring_corrupt_total";
     (match Kvmsim.Kvm.flight t.sys with
     | Some fr -> t.last_flight <- Some (Profiler.Flight.dump fr ~reason)
     | None -> ());
@@ -324,7 +295,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
     else if pending < 0 || pending > Layout.ring_entries then
       corrupt (Printf.sprintf "ring corrupt: sq_head=%Ld sq_tail=%Ld" head0 tail)
     else begin
-      emit_event t Ring_enter ~reason:"enter" ~cycles:0L ~nr:pending;
+      Kvmsim.Kvm.probe_event t.sys ~cycles:0L ~nr:pending Ring_enter Enter;
       (* Replay transcript: the doorbell first (head/tail window, ret =
          pending), then one event per SQE in drain order. Replays re-run
          the drain for real, so the per-op events self-verify. *)
@@ -449,9 +420,9 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
                Profiler.Flight.append_note fr
                  (Printf.sprintf "ring[%Ld] %s -> %Ld" !i (Hc.name sqe.Ring.nr) result)
            | None -> ());
-           emit_event t Ring_op ~reason:(Hc.name sqe.Ring.nr)
+           Kvmsim.Kvm.probe_event t.sys ~nr:sqe.Ring.nr
              ~cycles:(Cycles.Clock.elapsed_since (clock t) at)
-             ~nr:sqe.Ring.nr;
+             Ring_op (Named (Hc.name sqe.Ring.nr));
            if Ring.has sqe.Ring.flags Ring.flag_halt && Int64.compare result 0L < 0 then
              halted := true;
            incr completed;
@@ -462,7 +433,7 @@ let drain_ring t ~policy ~handlers ~(inv : Inv.t) ~take_snapshot ~cpu ~mem ~fuel
            Ring.set_cq_tail mem !i
          done
        with Fuel_stop -> ());
-      tincr t ~by:!completed "wasp_ring_ops_total";
+      Kvmsim.Kvm.count t.sys ~by:!completed "wasp_ring_ops_total";
       tobserve t "wasp_ring_batch_size" (Int64.of_int !completed);
       Drain_done (Int64.of_int !completed)
     end
@@ -713,16 +684,8 @@ let execute_image t (image : Image.t) ~policy ~handlers ~input_bytes ~conn ~snap
         Some
           (fun ~pc ~instr ~cost ->
             Kvmsim.Kvm.emit t.sys
-              {
-                Vtrace.Ctx.empty with
-                site = Instr;
-                core = current_core t;
-                trace = Kvmsim.Kvm.active_trace t.sys;
-                fn = image.name;
-                pc;
-                reason = Profiler.Profile.opcode_key instr;
-                cycles = Int64.of_int cost;
-              })
+              (Kvmsim.Kvm.event t.sys ~fn:image.name ~pc ~cycles:(Int64.of_int cost) ~nr:0 Instr
+                 (Named (Profiler.Profile.opcode_key instr))))
     | _ -> None
   in
   (match t.profiler with

@@ -98,33 +98,26 @@ let now t = Cycles.Clock.now (Runtime.clock t.rt)
 
 let hub t = Runtime.telemetry t.rt
 
-(* The stats fold: what each supervisor event adds to the record. *)
-let account (s : stats) (ev : Vtrace.Ctx.t) =
-  match (ev.site, ev.reason) with
-  | Sup_backoff, _ ->
-      s.retries <- s.retries + 1;
-      s.backoff_cycles <- Int64.add s.backoff_cycles ev.cycles
-  | Sup_quarantine, "reject" -> s.quarantine_rejections <- s.quarantine_rejections + 1
-  | _ -> ()
-
-(* One supervisor event ([fn] carries the supervision key): folded into
-   the stats, then into the system's sinks. *)
-let emit t site ~fn ~reason ~cycles ~nr =
-  let sys = Runtime.kvm t.rt in
-  let ev =
-    {
-      Vtrace.Ctx.empty with
-      site;
-      core = Runtime.current_core t.rt;
-      trace = Kvmsim.Kvm.active_trace sys;
-      fn;
-      reason;
-      cycles;
-      nr = Int64.of_int nr;
-    }
-  in
-  account t.stats ev;
-  Kvmsim.Kvm.emit sys ev
+(* One supervisor event ([fn] carries the supervision key): each reason
+   advances its stats field and counter together, in one arm, and adds
+   the instant a traced run shows; then the event goes to the sinks. *)
+let emit t site reason ~fn ~cycles ~nr =
+  let module K = Kvmsim.Kvm in
+  let s = t.stats and sys = Runtime.kvm t.rt in
+  (match (reason : Vtrace.Ctx.reason) with
+  | Retry ->
+      s.retries <- K.tally sys "wasp_retries_total" s.retries;
+      s.backoff_cycles <- Int64.add s.backoff_cycles cycles;
+      K.instant sys
+        ~args:[ ("attempt", string_of_int nr); ("backoff", Int64.to_string cycles) ]
+        "supervisor_retry"
+  | Enter ->
+      K.instant sys ~args:[ ("key", fn); ("failures", string_of_int nr) ] "supervisor_quarantine"
+  | Reject ->
+      s.quarantine_rejections <-
+        K.tally sys "wasp_quarantine_rejections_total" s.quarantine_rejections
+  | _ -> ());
+  K.emit sys (K.event sys ~fn ~cycles ~nr site reason)
 
 let streak_for t key =
   match Hashtbl.find_opt t.streaks key with
@@ -163,21 +156,16 @@ let release_quarantine t ~key =
    class). Grow the image's failure streak; past the threshold the image
    is quarantined until the cooldown elapses on the virtual clock. *)
 let note_failure t key class_ =
-  t.stats.failed <- t.stats.failed + 1;
-  Option.iter
-    (fun h ->
-      let m = Telemetry.Hub.metrics h and help = "supervised invocations failed" in
-      Telemetry.Metrics.incr (Telemetry.Metrics.counter m ~help "wasp_supervised_failures_total");
-      Telemetry.Metrics.incr
-        (Telemetry.Metrics.counter m ~help
-           ~labels:[ ("class", error_class_to_string class_) ]
-           "wasp_supervised_failures_total"))
-    (hub t);
+  let sys = Runtime.kvm t.rt and help = "supervised invocations failed" in
+  t.stats.failed <- Kvmsim.Kvm.tally sys ~help "wasp_supervised_failures_total" t.stats.failed;
+  Kvmsim.Kvm.count sys ~help
+    ~labels:[ ("class", error_class_to_string class_) ]
+    "wasp_supervised_failures_total";
   let s = streak_for t key in
   s.failures <- s.failures + 1;
   if s.failures >= t.config.quarantine_threshold then begin
     s.until <- Int64.add (now t) t.config.quarantine_cooldown;
-    emit t Sup_quarantine ~fn:key ~reason:"enter" ~cycles:0L ~nr:s.failures
+    emit t Sup_quarantine Enter ~fn:key ~cycles:0L ~nr:s.failures
   end;
   note_quarantine_gauge t
 
@@ -214,8 +202,8 @@ let backoff_for t ~retry =
 
 let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   let key = match key with Some k -> k | None -> image.Image.name in
-  t.stats.supervised <- t.stats.supervised + 1;
-  Option.iter (fun h -> Telemetry.Hub.incr h "wasp_supervised_total") (hub t);
+  t.stats.supervised <-
+    Kvmsim.Kvm.tally (Runtime.kvm t.rt) "wasp_supervised_total" t.stats.supervised;
   let tspan ?(sargs = []) name f =
     match hub t with
     | None -> f ()
@@ -227,7 +215,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
   tspan ~sargs:[ ("key", key) ] "supervised" @@ fun () ->
   let start = now t in
   if quarantined t ~key then begin
-    emit t Sup_quarantine ~fn:key ~reason:"reject" ~cycles:0L ~nr:0;
+    emit t Sup_quarantine Reject ~fn:key ~cycles:0L ~nr:0;
     slo_record t ~good:false;
     {
       result = Error (Overload, Printf.sprintf "image %S is quarantined" key);
@@ -259,7 +247,7 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
           let d = backoff_for t ~retry:(k - 1) in
           Cycles.Clock.advance_int (Runtime.clock t.rt) d;
           backoff_total := !backoff_total + d;
-          emit t Sup_backoff ~fn:key ~reason:"retry" ~cycles:(Int64.of_int d) ~nr:k
+          emit t Sup_backoff Retry ~fn:key ~cycles:(Int64.of_int d) ~nr:k
         end;
         match
           Runtime.run t.rt image ?policy ?input ?args ?snapshot_key
@@ -269,11 +257,11 @@ let run t (image : Image.t) ?policy ?input ?args ?snapshot_key ?key () =
         | exception Kvmsim.Kvm.Injected_failure site ->
             Retryable (Fault, Printf.sprintf "injected failure at %s" site, None)
       in
-      emit t Sup_attempt ~fn:key
-        ~reason:
-          (match verdict with
-          | Succeeded _ -> "ok"
-          | Retryable (c, _, _) | Terminal (c, _, _) -> error_class_to_string c)
+      emit t Sup_attempt
+        (match verdict with
+        | Succeeded _ -> Ok
+        | Retryable (c, _, _) | Terminal (c, _, _) -> Named (error_class_to_string c))
+        ~fn:key
         ~cycles:(Int64.sub (now t) attempt_start)
         ~nr:k;
       match verdict with

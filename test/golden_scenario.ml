@@ -10,6 +10,14 @@
 
 module R = Wasp.Runtime
 
+(* The scenario's live layers, for checks that read their records. *)
+type live = {
+  runtime : R.t;
+  metrics : Telemetry.Metrics.t;
+  supervisor : Wasp.Supervisor.t;
+  gateway : Serverless.Gateway.t;
+}
+
 type outputs = {
   prometheus : string;  (** exposition text of the hub's registry *)
   chrome : string;  (** Chrome trace-event JSON of the hub's spans *)
@@ -17,6 +25,7 @@ type outputs = {
   flight : string;  (** the black-box dumps taken along the way + the final ring *)
   explain : string;  (** causal timelines of the slowest traces *)
   stats : string;  (** the layers' stats records and the hub summary *)
+  live : live;
 }
 
 (* A probe per site; the aggregations vary so that every context field
@@ -314,5 +323,6 @@ let run ~sites () =
           | None -> "no flight ring\n");
       explain = Profiler.Explain.slowest ~n:3 ~hub ?flight ();
       stats;
+      live = { runtime = w; metrics; supervisor = sup; gateway };
     },
     [ main; instr ] )

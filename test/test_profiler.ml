@@ -228,7 +228,7 @@ let test_flight_ring_bounds () =
   let fr = Profiler.Flight.create ~capacity:4 () in
   for i = 0 to 9 do
     Profiler.Flight.record fr ~at:(Int64.of_int (100 * i))
-      { Vtrace.Ctx.empty with pc = i; reason = "hlt" }
+      { Vtrace.Ctx.empty with pc = i; reason = Hlt }
   done;
   Alcotest.(check int) "total counts all" 10 (Profiler.Flight.total fr);
   Alcotest.(check int) "ring retains capacity" 4 (Profiler.Flight.count fr);
@@ -248,7 +248,7 @@ let test_flight_wraparound_keeps_stamps () =
         trace = Some (Int64.of_int (1000 + i));
         core = i mod 2;
         pc = i;
-        reason = "io_out";
+        reason = Io_out;
         port = 1;
         value = Int64.of_int i;
       };

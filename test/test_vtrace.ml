@@ -155,7 +155,7 @@ let test_agg_insertion_order () =
 let test_engine_budget_drops () =
   let e = engine_ok ~budget:3 "exit { count() by (reason) }" in
   for _ = 1 to 10 do
-    ignore (E.fire e { Ctx.empty with reason = "hlt" })
+    ignore (E.fire e { Ctx.empty with reason = Hlt })
   done;
   Alcotest.(check int) "three firings" 3 (E.fires e);
   Alcotest.(check int) "seven budget drops" 7 (E.drops e);
@@ -190,9 +190,9 @@ let test_engine_wants () =
 
 let test_engine_render_and_folded () =
   let e = engine_ok "exit { count() by (reason) }" in
-  ignore (E.fire e { Ctx.empty with reason = "hlt" });
-  ignore (E.fire e { Ctx.empty with reason = "hypercall" });
-  ignore (E.fire e { Ctx.empty with reason = "hypercall" });
+  ignore (E.fire e { Ctx.empty with reason = Hlt });
+  ignore (E.fire e { Ctx.empty with reason = Hypercall });
+  ignore (E.fire e { Ctx.empty with reason = Hypercall });
   let r = E.render e in
   List.iter
     (fun needle ->
@@ -207,8 +207,8 @@ let test_engine_render_and_folded () =
 
 let test_engine_export_metrics () =
   let e = engine_ok ~budget:1 "exit { count() by (reason) }" in
-  ignore (E.fire e { Ctx.empty with reason = "hlt" });
-  ignore (E.fire e { Ctx.empty with reason = "hlt" });
+  ignore (E.fire e { Ctx.empty with reason = Hlt });
+  ignore (E.fire e { Ctx.empty with reason = Hlt });
   let m = Telemetry.Metrics.create () in
   E.export e m;
   (match Telemetry.Metrics.find m "vtrace_exit_count{probe=0,reason=hlt}" with
@@ -469,7 +469,10 @@ let test_sites_scheduler () =
   in
   let clocks = Array.init 2 (fun _ -> Cycles.Clock.create ()) in
   let sched = Dessim.Cores.create clocks in
-  Dessim.Cores.set_emit sched (Some (fun ev -> ignore (E.fire e ev)));
+  Dessim.Cores.set_emit sched
+    (Some
+       (fun site ~core ~reason ~cycles ~nr ->
+         ignore (E.fire e { Ctx.empty with site; core; reason; cycles; nr = Int64.of_int nr })));
   (* all work lands on core 0 at release 0: once core 0's clock runs
      ahead, core 1 steals alternate tasks.  A single far-future task
      then forces an accounted idle window. *)
@@ -498,8 +501,9 @@ let test_sites_scheduler () =
 
 let catalog = List.map Ctx.site_name Ctx.sites
 
-(* Site names from the rows of the site table in docs/vtrace.md. *)
-let documented_sites () =
+(* The rows of the site table in docs/vtrace.md, as (site, reasons):
+   the backquoted names of the first and third columns. *)
+let documented_rows () =
   let lines =
     String.split_on_char '\n'
       (In_channel.with_open_bin "../docs/vtrace.md" In_channel.input_all)
@@ -510,11 +514,15 @@ let documented_sites () =
         if String.length l >= 8 && String.sub l 0 8 = "| site |" then rest
         else skip_to_table rest
   in
+  let quoted cell = List.filteri (fun i _ -> i mod 2 = 1) (String.split_on_char '`' cell) in
   let rec rows acc = function
     | l :: rest when String.length l > 2 && l.[0] = '|' -> (
-        match String.split_on_char '`' l with
-        | _ :: name :: _ -> rows (name :: acc) rest
-        | _ -> rows acc rest (* the |---| separator *))
+        match String.split_on_char '|' l with
+        | _ :: site :: _ :: reason :: _ -> (
+            match quoted site with
+            | [ name ] -> rows ((name, quoted reason) :: acc) rest
+            | _ -> rows acc rest (* the |---| separator *))
+        | _ -> rows acc rest)
     | _ -> List.rev acc
   in
   rows [] (skip_to_table lines)
@@ -532,9 +540,20 @@ let test_catalog_accepted () =
     (List.length (sorted catalog))
 
 let test_catalog_documented () =
+  let rows = documented_rows () in
   Alcotest.(check (list string))
     "docs/vtrace.md site table = typed site list" (sorted catalog)
-    (sorted (documented_sites ()))
+    (sorted (List.map fst rows));
+  (* the fixed reasons: open-ended names (hypercalls, opcodes, fault-plan
+     sites, error classes) are prose in the table and not in the type *)
+  List.iter
+    (fun site ->
+      let name = Ctx.site_name site in
+      Alcotest.(check (list string))
+        (name ^ ": documented reasons = typed reasons")
+        (sorted (List.map Ctx.reason_name (Ctx.reasons site)))
+        (sorted (List.assoc name rows)))
+    Ctx.sites
 
 let test_catalog_reached () =
   let _, engines = Golden_scenario.run ~sites:catalog () in
