@@ -1,4 +1,4 @@
-type registration = { source : string; entry : string }
+type registration = { compiled : Vjs.Engine.compiled; entry : string }
 
 type container = {
   mutable last_used : int64;  (** for keep-alive expiry *)
@@ -43,13 +43,8 @@ let create ~clock ?(seed = 0x515) ?(max_containers = 32) () =
     warm_count = 0;
   }
 
-let register t ~name ~source ~entry = Hashtbl.replace t.functions name { source; entry }
-
-let data_value input =
-  Vjs.Jsvalue.Arr
-    (Vjs.Jsvalue.vec_of_list
-       (List.init (Bytes.length input) (fun i ->
-            Vjs.Jsvalue.Num (float_of_int (Char.code (Bytes.get input i))))))
+let register t ~name ~source ~entry =
+  Hashtbl.replace t.functions name { compiled = Vjs.Engine.compile source; entry }
 
 let charge t ~pct c = Cycles.Clock.advance_int t.clock (Cycles.Costs.jitter t.rng ~pct c)
 
@@ -95,7 +90,7 @@ let invoke t ~now ~name ~input =
         if t.live_containers >= t.max_containers then charge t ~pct:0.2 warm_overhead_cycles;
         charge t ~pct:0.10 cold_start_cycles;
         let engine = Vjs.Engine.create ~charge:exec_charge () in
-        (match Vjs.Engine.eval engine reg.source with
+        (match Vjs.Engine.load engine reg.compiled with
         | Ok _ ->
             t.live_containers <- t.live_containers + 1;
             let c = { last_used = now; free_at = now; engine } in
@@ -108,7 +103,7 @@ let invoke t ~now ~name ~input =
   | Error msg -> (Error msg, Cycles.Clock.elapsed_since t.clock start)
   | Ok c ->
       let result =
-        match Vjs.Engine.call c.engine reg.entry [ data_value input ] with
+        match Vjs.Engine.call c.engine reg.entry [ Vjs.Jsvalue.bytes_value input ] with
         | Ok v -> Ok (Vjs.Jsvalue.to_string v)
         | Error msg -> Error msg
       in

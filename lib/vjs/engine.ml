@@ -2,10 +2,11 @@ open Jsvalue
 
 type t = {
   charge_cell : (int -> unit) ref;
-  globals : env;
-  interp : Jsinterp.interp;
+  rt : Jscomp.rt;
   console : Buffer.t;
 }
+
+type compiled = { tokens : int; program : (Jscomp.program, string) result }
 
 let charge_of t c = !(t.charge_cell) c
 
@@ -16,7 +17,7 @@ let context_alloc_cycles = 400_000
 let binding_cycles = 32_000
 let teardown_cycles = 270_000
 let parse_cycles_per_token = 45
-let eval_cycles_per_node = Jsinterp.cost_per_node
+let eval_cycles_per_node = Jscomp.cost_per_node
 
 let num_method name f = Native (name, fun args ->
     match args with
@@ -24,6 +25,7 @@ let num_method name f = Native (name, fun args ->
     | [] -> Num Float.nan)
 
 let install_builtins t =
+  let global = Hashtbl.replace (Jscomp.globals t.rt) in
   let math = Hashtbl.create 8 in
   Hashtbl.replace math "floor" (num_method "floor" Float.floor);
   Hashtbl.replace math "ceil" (num_method "ceil" Float.ceil);
@@ -39,14 +41,14 @@ let install_builtins t =
          | a :: b :: _ -> Num (Float.pow (to_number a) (to_number b))
          | _ -> Num Float.nan));
   Hashtbl.replace math "PI" (Num Float.pi);
-  env_define t.globals "Math" (Obj math);
+  global "Math" (Obj math);
   let string_obj = Hashtbl.create 4 in
   Hashtbl.replace string_obj "fromCharCode"
     (Native ("fromCharCode", fun args ->
          Str (String.concat ""
                 (List.map (fun v -> String.make 1 (Char.chr (int_of_float (to_number v) land 0xFF))) args))));
-  env_define t.globals "String" (Obj string_obj);
-  env_define t.globals "parseInt"
+  global "String" (Obj string_obj);
+  global "parseInt"
     (Native ("parseInt", fun args ->
          match args with
          | v :: _ -> (
@@ -74,23 +76,22 @@ let install_builtins t =
          match args with
          | v :: _ -> Json.parse (to_string v)
          | [] -> raise (Js_error "JSON.parse: missing argument")));
-  env_define t.globals "JSON" (Obj json);
+  global "JSON" (Obj json);
   let print_fn =
     Native ("print", fun args ->
         Buffer.add_string t.console (String.concat " " (List.map to_string args));
         Buffer.add_char t.console '\n';
         Undefined)
   in
-  env_define t.globals "print" print_fn;
-  env_define t.globals "console_log" print_fn
+  global "print" print_fn;
+  global "console_log" print_fn
 
 let create ?(charge = fun _ -> ()) () =
   let cell = ref charge in
   let t =
     {
       charge_cell = cell;
-      globals = env_create None;
-      interp = Jsinterp.create ~charge:(fun c -> !cell c) ~max_steps:5_000_000 ();
+      rt = Jscomp.create_rt ~charge:(fun c -> !cell c) ~max_steps:5_000_000;
       console = Buffer.create 64;
     }
   in
@@ -99,52 +100,31 @@ let create ?(charge = fun _ -> ()) () =
   charge binding_cycles;
   t
 
-let register t name f = env_define t.globals name (Native (name, f))
+let register t name f = Hashtbl.replace (Jscomp.globals t.rt) name (Native (name, f))
 
-let eval t src =
-  Jsinterp.reset_steps t.interp;
+let syntax_error line msg = Printf.sprintf "SyntaxError (line %d): %s" line msg
+
+let compile src =
   match Jslex.tokenize src with
-  | exception Jslex.Error { line; msg } -> Error (Printf.sprintf "SyntaxError (line %d): %s" line msg)
+  | exception Jslex.Error { line; msg } -> { tokens = 0; program = Error (syntax_error line msg) }
   | toks -> (
-      charge_of t (List.length toks * parse_cycles_per_token);
-      match Jsparse.parse src with
-      | exception Jsparse.Error { line; msg } ->
-          Error (Printf.sprintf "SyntaxError (line %d): %s" line msg)
-      | prog -> (
-          (* value of the last expression statement, REPL-style *)
-          let result = ref Undefined in
-          let run () =
-            List.iter
-              (fun s ->
-                match s with
-                | Jsast.Sfundecl (name, params, body) ->
-                    env_define t.globals name
-                      (Fun { params; body; env = t.globals; fname = name })
-                | _ -> ())
-              prog;
-            List.iter
-              (fun s ->
-                match s with
-                | Jsast.Sfundecl _ -> ()
-                | Jsast.Sexpr e -> result := Jsinterp.eval_expr t.interp t.globals e
-                | s -> Jsinterp.exec_stmt t.interp t.globals s)
-              prog
-          in
-          match run () with
-          | () -> Ok !result
-          | exception Js_error msg -> Error msg
-          | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v)
-          | exception Jsinterp.Return_exc _ -> Error "return outside function"))
+      let tokens = List.length toks in
+      match Jsparse.parse toks with
+      | exception Jsparse.Error { line; msg } -> { tokens; program = Error (syntax_error line msg) }
+      | prog -> { tokens; program = Ok (Jscomp.program prog) })
+
+let load t c =
+  Jscomp.reset_steps t.rt;
+  if c.tokens > 0 then charge_of t (c.tokens * parse_cycles_per_token);
+  match c.program with Error msg -> Error msg | Ok prog -> Jscomp.run t.rt prog
+
+let eval t src = load t (compile src)
 
 let call t name args =
-  Jsinterp.reset_steps t.interp;
-  match env_lookup t.globals name with
+  Jscomp.reset_steps t.rt;
+  match Hashtbl.find_opt (Jscomp.globals t.rt) name with
   | None -> Error (Printf.sprintf "ReferenceError: %s is not defined" name)
-  | Some fv -> (
-      match Jsinterp.call t.interp !fv args with
-      | v -> Ok v
-      | exception Js_error msg -> Error msg
-      | exception Jsinterp.Throw_exc v -> Error ("uncaught: " ^ to_string v))
+  | Some fv -> Jscomp.apply fv (Array.of_list args)
 
 let destroy t = charge_of t teardown_cycles
 

@@ -30,10 +30,22 @@ val create : ?charge:(int -> unit) -> unit -> t
 val register : t -> string -> (Jsvalue.t list -> Jsvalue.t) -> unit
 (** Bind a native function into the global object (duk_push_c_function). *)
 
+type compiled
+(** A source lexed and parsed once and compiled ({!Jscomp.program}), or
+    the syntax error it failed with; it records its token count. *)
+
+val compile : string -> compiled
+(** Host-side and free: nothing is charged until {!load}. *)
+
+val load : t -> compiled -> (Jsvalue.t, string) result
+(** Execute a compiled script in the global scope. Charges
+    [parse_cycles_per_token] per token first (nothing if the source did
+    not lex), then fails with the syntax error or runs, charging
+    per-node evaluation costs. The result is the value of the last
+    top-level expression statement, or [Undefined]. *)
+
 val eval : t -> string -> (Jsvalue.t, string) result
-(** Parse and execute a script in the global scope; charges parse and
-    per-node evaluation costs. The result is the value of a trailing
-    expression statement, or [Undefined]. *)
+(** [load t (compile src)]. *)
 
 val call : t -> string -> Jsvalue.t list -> (Jsvalue.t, string) result
 (** Call a global function by name. *)

@@ -3,6 +3,7 @@ type t = {
   isolate_key : string;
   isolate_source : string;
   isolate_entry : string;
+  compiled : Engine.compiled Lazy.t;
 }
 
 type Wasp.Univ.t += Isolate_engine of Engine.t
@@ -13,7 +14,13 @@ let policy =
   Wasp.Policy.of_list [ Wasp.Hc.snapshot; Wasp.Hc.get_data; Wasp.Hc.return_data ]
 
 let create wasp ~key ~source ~entry =
-  { wasp; isolate_key = key; isolate_source = source; isolate_entry = entry }
+  {
+    wasp;
+    isolate_key = key;
+    isolate_source = source;
+    isolate_entry = entry;
+    compiled = lazy (Engine.compile source);
+  }
 
 let key t = t.isolate_key
 let source t = t.isolate_source
@@ -32,7 +39,7 @@ let run t ~input ~decode ~encode =
         let charge c = N.charge ctx c in
         let build ~charged =
           let e = Engine.create ~charge:(if charged then charge else fun _ -> ()) () in
-          match Engine.eval e t.isolate_source with
+          match Engine.load e (Lazy.force t.compiled) with
           | Ok _ -> Ok e
           | Error msg -> Error msg
         in
@@ -113,13 +120,7 @@ let run t ~input ~decode ~encode =
 let invoke t ~input =
   let decode ~charge data =
     charge (Bytes.length data * 2);
-    Ok
-      [
-        Jsvalue.Arr
-          (Jsvalue.vec_of_list
-             (List.init (Bytes.length data) (fun i ->
-                  Jsvalue.Num (float_of_int (Char.code (Bytes.get data i))))));
-      ]
+    Ok [ Jsvalue.bytes_value data ]
   in
   let encode v = Jsvalue.to_string v in
   run t ~input ~decode ~encode

@@ -37,42 +37,3 @@ and stmt =
       (* try body, optional catch (binding, body), finally body *)
 
 type program = stmt list
-
-(* rough node count, used by the interpreter's cost model *)
-let rec expr_nodes = function
-  | Enum _ | Estr _ | Ebool _ | Enull | Eundefined | Eident _ -> 1
-  | Earray es -> 1 + List.fold_left (fun a e -> a + expr_nodes e) 0 es
-  | Eobject fields -> 1 + List.fold_left (fun a (_, e) -> a + expr_nodes e) 0 fields
-  | Efun (_, body) -> 1 + stmts_nodes body
-  | Ecall (f, args) -> 1 + expr_nodes f + List.fold_left (fun a e -> a + expr_nodes e) 0 args
-  | Emethod (r, _, args) ->
-      1 + expr_nodes r + List.fold_left (fun a e -> a + expr_nodes e) 0 args
-  | Eprop (r, _) -> 1 + expr_nodes r
-  | Eindex (r, i) -> 1 + expr_nodes r + expr_nodes i
-  | Eunop (_, e) | Etypeof e -> 1 + expr_nodes e
-  | Ebinop (_, a, b) -> 1 + expr_nodes a + expr_nodes b
-  | Eassign (a, b) -> 1 + expr_nodes a + expr_nodes b
-  | Econd (c, a, b) -> 1 + expr_nodes c + expr_nodes a + expr_nodes b
-
-and stmt_nodes = function
-  | Sexpr e -> 1 + expr_nodes e
-  | Svar (_, e) -> 1 + (match e with Some e -> expr_nodes e | None -> 0)
-  | Sif (c, t, f) -> 1 + expr_nodes c + stmts_nodes t + stmts_nodes f
-  | Swhile (c, b) -> 1 + expr_nodes c + stmts_nodes b
-  | Sfor (i, c, s, b) ->
-      1
-      + (match i with Some s -> stmt_nodes s | None -> 0)
-      + (match c with Some e -> expr_nodes e | None -> 0)
-      + (match s with Some e -> expr_nodes e | None -> 0)
-      + stmts_nodes b
-  | Sreturn e -> 1 + (match e with Some e -> expr_nodes e | None -> 0)
-  | Sbreak | Scontinue -> 1
-  | Sfundecl (_, _, b) -> 1 + stmts_nodes b
-  | Sblock b -> 1 + stmts_nodes b
-  | Sthrow e -> 1 + expr_nodes e
-  | Stry (b, c, f) ->
-      1 + stmts_nodes b
-      + (match c with Some (_, cb) -> stmts_nodes cb | None -> 0)
-      + stmts_nodes f
-
-and stmts_nodes b = List.fold_left (fun a s -> a + stmt_nodes s) 0 b

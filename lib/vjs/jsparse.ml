@@ -393,8 +393,8 @@ and semi st =
   else if is_punct st "}" || peek st = Jslex.EOF then ()
   else fail st (Printf.sprintf "expected ';', found %s" (Jslex.token_name (peek st)))
 
-let parse src =
-  let toks = Array.of_list (Jslex.tokenize src) in
+let parse toks =
+  let toks = Array.of_list toks in
   let st = { toks; cur = 0 } in
   let stmts = ref [] in
   while peek st <> Jslex.EOF do

@@ -2,5 +2,6 @@
 
 exception Error of { line : int; msg : string }
 
-val parse : string -> Jsast.program
-(** @raise Error (or {!Jslex.Error}) on malformed input. *)
+val parse : (Jslex.token * int) list -> Jsast.program
+(** Parse the output of {!Jslex.tokenize}.
+    @raise Error on malformed input. *)

@@ -1,5 +1,6 @@
 (* Runtime values. Arrays are growable vectors; objects are string-keyed
-   hash tables; functions capture their defining environment. *)
+   hash tables; a function is a closure the engine built over its
+   defining scope. *)
 
 type t =
   | Undefined
@@ -14,9 +15,7 @@ type t =
 
 and vec = { mutable items : t array; mutable len : int }
 
-and fn = { params : string list; body : Jsast.stmt list; env : env; fname : string }
-
-and env = { tbl : (string, t ref) Hashtbl.t; parent : env option }
+and fn = { fname : string; call : t array -> t }
 
 exception Js_error of string
 
@@ -55,6 +54,13 @@ let vec_pop v =
 
 let vec_to_list v = List.init v.len (fun i -> v.items.(i))
 
+(* numbers are immutable, so every byte array shares one [Num] per value *)
+let byte_nums = Array.init 256 (fun i -> Num (float_of_int i))
+
+let bytes_value b =
+  if Bytes.length b = 0 then Arr (vec_create ())
+  else Arr { items = Array.init (Bytes.length b) (fun i -> byte_nums.(Bytes.get_uint8 b i)); len = Bytes.length b }
+
 let type_name = function
   | Undefined -> "undefined"
   | Null -> "object"
@@ -74,6 +80,8 @@ let truthy = function
 let number_to_string n =
   if Float.is_integer n && Float.abs n < 1e15 then Printf.sprintf "%.0f" n
   else if Float.is_nan n then "NaN"
+  else if n = Float.infinity then "Infinity"
+  else if n = Float.neg_infinity then "-Infinity"
   else Printf.sprintf "%g" n
 
 let rec to_string = function
@@ -87,24 +95,57 @@ let rec to_string = function
   | Fun f -> Printf.sprintf "function %s() { ... }" f.fname
   | Native (n, _) -> Printf.sprintf "function %s() { [native code] }" n
 
+(* StringToNumber: only JS numeric literals convert; OCaml's own syntax
+   ([1_000], [inf], [nan], [0o17]) is NaN *)
+let string_to_number s =
+  let is_space c = c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = '\011' || c = '\012' in
+  let n = String.length s in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi && is_space s.[!lo] do incr lo done;
+  while !hi > !lo && is_space s.[!hi - 1] do decr hi done;
+  let s = String.sub s !lo (!hi - !lo) in
+  let n = String.length s in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_hex c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F') in
+  (* [i] past the digits starting at [i] *)
+  let rec digits i = if i < n && is_digit s.[i] then digits (i + 1) else i in
+  let decimal () =
+    let i = if n > 0 && (s.[0] = '+' || s.[0] = '-') then 1 else 0 in
+    let j = digits i in
+    let k = if j < n && s.[j] = '.' then digits (j + 1) else j in
+    let mantissa = j > i || k > j + 1 in
+    let e =
+      if mantissa && k < n && (s.[k] = 'e' || s.[k] = 'E') then
+        let x = if k + 1 < n && (s.[k + 1] = '+' || s.[k + 1] = '-') then k + 2 else k + 1 in
+        let y = digits x in
+        if y > x then y else -1
+      else k
+    in
+    mantissa && e = n
+  in
+  if n = 0 then 0.0
+  else if s = "Infinity" || s = "+Infinity" then Float.infinity
+  else if s = "-Infinity" then Float.neg_infinity
+  else if n > 2 && s.[0] = '0' && (s.[1] = 'x' || s.[1] = 'X') then
+    if String.for_all is_hex (String.sub s 2 (n - 2)) then float_of_string s else Float.nan
+  else if decimal () then float_of_string s
+  else Float.nan
+
 let to_number = function
   | Undefined -> Float.nan
   | Null -> 0.0
   | Bool true -> 1.0
   | Bool false -> 0.0
   | Num n -> n
-  | Str s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f -> f
-      | None -> if String.trim s = "" then 0.0 else Float.nan)
+  | Str s -> string_to_number s
   | Arr _ | Obj _ | Fun _ | Native _ -> Float.nan
 
-(* ToInt32 per ECMA: modulo 2^32, signed *)
+(* ToInt32: truncate, reduce modulo 2^32 (exact in floating point), then
+   keep the low 32 bits as a signed value *)
 let to_int32 v =
   let n = to_number v in
-  if Float.is_nan n || Float.is_integer n = false && Float.abs n = Float.infinity then 0l
-  else if Float.abs n = Float.infinity then 0l
-  else Int32.of_float (Float.rem (Float.of_int (int_of_float n)) 4294967296.0)
+  if Float.is_finite n then Int32.to_int (Int32.of_int (int_of_float (Float.rem (Float.trunc n) 4294967296.0)))
+  else 0
 
 let strict_equal a b =
   match (a, b) with
@@ -126,13 +167,3 @@ let loose_equal a b =
   | Bool _, _ -> to_number a = to_number b
   | _, Bool _ -> to_number a = to_number b
   | _ -> strict_equal a b
-
-(* environments *)
-let env_create parent = { tbl = Hashtbl.create 8; parent }
-
-let env_define env name v = Hashtbl.replace env.tbl name (ref v)
-
-let rec env_lookup env name =
-  match Hashtbl.find_opt env.tbl name with
-  | Some r -> Some r
-  | None -> ( match env.parent with Some p -> env_lookup p name | None -> None)

@@ -1,8 +1,8 @@
 (** Runtime values of the vjs JavaScript engine.
 
     Numbers are IEEE doubles, arrays are growable vectors, objects are
-    string-keyed hash tables, and functions capture their defining
-    environment (closures). [Native] embeds host functions (the
+    string-keyed hash tables, and a function is a closure the engine
+    built over its defining scope. [Native] embeds host functions (the
     [duk_push_c_function] analogue). *)
 
 type t =
@@ -18,9 +18,9 @@ type t =
 
 and vec = { mutable items : t array; mutable len : int }
 
-and fn = { params : string list; body : Jsast.stmt list; env : env; fname : string }
-
-and env = { tbl : (string, t ref) Hashtbl.t; parent : env option }
+and fn = { fname : string; call : t array -> t }
+(** [call] binds the arguments to the parameters (missing ones are
+    [Undefined]) and runs the body in the engine that created the value. *)
 
 exception Js_error of string
 (** Runtime errors (reference errors, type errors, step-budget
@@ -41,6 +41,10 @@ val vec_push : vec -> t -> unit
 val vec_pop : vec -> t
 val vec_to_list : vec -> t list
 
+val bytes_value : bytes -> t
+(** An array of the byte values, as the engine's callers pass binary
+    input. *)
+
 (** {1 Coercions (ECMA-flavoured)} *)
 
 val type_name : t -> string
@@ -49,16 +53,17 @@ val type_name : t -> string
 val truthy : t -> bool
 val to_string : t -> string
 val number_to_string : float -> string
+(** Integers below 1e15 print without a fraction; [NaN], [Infinity] and
+    [-Infinity] print as in JS. *)
+
 val to_number : t -> float
-val to_int32 : t -> int32
-(** ToInt32, used by the bitwise operators. *)
+(** Strings convert only from JS numeric syntax: trimmed decimal with an
+    optional exponent, [0x] hex or [±Infinity]; the empty string is 0
+    and anything else is [NaN]. *)
+
+val to_int32 : t -> int
+(** ECMA-262 ToInt32 (truncate, wrap modulo 2{^32}, re-sign), used by the
+    bitwise operators; the result is in \[-2{^31}, 2{^31}). *)
 
 val strict_equal : t -> t -> bool   (** [===]: no coercion, reference equality for objects. *)
 val loose_equal : t -> t -> bool    (** [==]: number/string/bool coercion. *)
-
-(** {1 Environments} *)
-
-val env_create : env option -> env
-val env_define : env -> string -> t -> unit
-val env_lookup : env -> string -> t ref option
-(** Walks the scope chain. *)

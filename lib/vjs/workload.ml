@@ -41,14 +41,15 @@ let reference_encode b = Vcrypto.Base64.encode (Bytes.to_string b)
 
 type outcome = { latency_cycles : int64; output : string }
 
-let data_value input =
-  Jsvalue.Arr
-    (Jsvalue.vec_of_list
-       (List.init (Bytes.length input) (fun i ->
-            Jsvalue.Num (float_of_int (Char.code (Bytes.get input i))))))
+let compiled = lazy (Engine.compile base64_js_source)
+
+let load engine =
+  match Engine.load engine (Lazy.force compiled) with
+  | Ok _ -> ()
+  | Error e -> failwith ("js error: " ^ e)
 
 let encode_with engine input =
-  match Engine.call engine "encode" [ data_value input ] with
+  match Engine.call engine "encode" [ Jsvalue.bytes_value input ] with
   | Ok (Jsvalue.Str s) -> s
   | Ok v -> failwith ("encode returned non-string: " ^ Jsvalue.to_string v)
   | Error e -> failwith ("js error: " ^ e)
@@ -57,9 +58,7 @@ let run_baseline ~clock ~input =
   let start = Cycles.Clock.now clock in
   let charge c = Cycles.Clock.advance_int clock c in
   let engine = Engine.create ~charge () in
-  (match Engine.eval engine base64_js_source with
-  | Ok _ -> ()
-  | Error e -> failwith ("js error: " ^ e));
+  load engine;
   let output = encode_with engine input in
   Engine.destroy engine;
   { latency_cycles = Cycles.Clock.elapsed_since clock start; output }
@@ -99,18 +98,14 @@ let run_virtine w ~input ~snapshot ~teardown ~key =
                 Vm.Memory.write_u8 mem (arena + (i * 256)) 0xDA
               done;
               let e = Engine.create ~charge () in
-              (match Engine.eval e base64_js_source with
-              | Ok _ -> ()
-              | Error err -> failwith ("js error: " ^ err));
+              load e;
               if snapshot then begin
                 (* the restore path rebuilds the same engine state from
                    the memory image; the rebuild itself is free because
                    the restore memcpy is what is charged *)
                 N.offer_snapshot_state ctx (fun () ->
                     let fresh = Engine.create ~charge:(fun _ -> ()) () in
-                    (match Engine.eval fresh base64_js_source with
-                    | Ok _ -> ()
-                    | Error err -> failwith ("js error: " ^ err));
+                    load fresh;
                     Js_engine fresh);
                 snapshot_pending := true
               end;

@@ -54,7 +54,45 @@ let test_bitwise () =
   fnum "xor" 10.0 (eval_num "12 ^ 6");
   fnum "shl" 48.0 (eval_num "12 << 2");
   fnum "shr" 3.0 (eval_num "12 >> 2");
-  fnum "not" (-13.0) (eval_num "~12")
+  fnum "not" (-13.0) (eval_num "~12");
+  (* ToInt32 wraps modulo 2^32 instead of saturating *)
+  fnum "2^31+ wraps" (-1294967296.0) (eval_num "3000000000 | 0");
+  fnum "-2^31- wraps" 1294967296.0 (eval_num "(-3000000000) >> 0");
+  fnum "2^32 + 1" 1.0 (eval_num "4294967297 | 0");
+  fnum "10^20" 1661992960.0 (eval_num "Math.pow(10, 20) | 0");
+  fnum "2^64" 0.0 (eval_num "Math.pow(2, 64) | 0");
+  fnum "2^70 + 2^31" (-2147483648.0) (eval_num "(Math.pow(2, 70) + Math.pow(2, 31)) | 0");
+  fnum "truncates toward zero" (-3.0) (eval_num "-3.7 | 0");
+  fnum "shl overflows" (-2147483648.0) (eval_num "1 << 31");
+  fnum "not of 2^32 - 1" 0.0 (eval_num "~4294967295");
+  fnum "infinity" 0.0 (eval_num {|("Infinity" * 1) | 0|})
+
+let test_numbers () =
+  let nan src = Alcotest.(check bool) src true (Float.is_nan (eval_num src)) in
+  (* only JS numeric syntax converts *)
+  nan {|"1_000" * 1|};
+  nan {|"inf" * 1|};
+  nan {|"infinity" - 0|};
+  nan {|"nan" * 1|};
+  nan {|"0o17" * 1|};
+  nan {|"-0x10" * 1|};
+  nan {|"1e" * 1|};
+  nan {|"." * 1|};
+  nan {|"12abc" * 1|};
+  fnum "decimal" 1000.0 (eval_num {|"1000" * 1|});
+  fnum "trimmed" 42.0 (eval_num {|" \t42\n " * 1|});
+  fnum "fraction" 0.5 (eval_num {|".5" * 1|});
+  fnum "exponent" 1500.0 (eval_num {|"1.5e3" * 1|});
+  fnum "signed exponent" (-0.015) (eval_num {|"-1.5E-2" * 1|});
+  fnum "hex" 255.0 (eval_num {|"0xff" * 1|});
+  fnum "empty" 0.0 (eval_num {|"" * 1|});
+  fnum "blank" 0.0 (eval_num {|"   " * 1|});
+  fnum "Infinity" Float.infinity (eval_num {|"Infinity" * 1|});
+  fnum "-Infinity" Float.neg_infinity (eval_num {|"-Infinity" * 1|});
+  (* non-finite numbers print as JS does *)
+  Alcotest.(check string) "Infinity renders" "Infinity" (eval_str {|"" + ("Infinity" * 1)|});
+  Alcotest.(check string) "-Infinity renders" "-Infinity" (eval_str {|"" + (-1 / 0)|});
+  Alcotest.(check string) "NaN renders" "NaN" (eval_str {|"" + (0 / 0)|})
 
 let test_comparisons () =
   fnum "lt true" 1.0 (eval_num "(1 < 2) ? 1 : 0");
@@ -227,6 +265,216 @@ let test_engine_charges () =
   Alcotest.(check int) "teardown charged" (before + Vjs.Engine.teardown_cycles) !total
 
 (* ------------------------------------------------------------------ *)
+(* Differential oracle: the compiled engine against the tree walker     *)
+(* ------------------------------------------------------------------ *)
+
+(* Run a program on both evaluators with a [print] global and a tiny
+   step budget; each side reports (result, steps, charged cycles,
+   console). *)
+let print_native console =
+  V.Native
+    ( "print",
+      fun args ->
+        Buffer.add_string console (String.concat " " (List.map V.to_string args));
+        Buffer.add_char console '\n';
+        V.Undefined )
+
+let render = function
+  | Ok v -> Printf.sprintf "%s %s" (V.type_name v) (V.to_string v)
+  | Error msg -> "error: " ^ msg
+
+let parse src = Vjs.Jsparse.parse (Vjs.Jslex.tokenize src)
+
+let run_compiled ~max_steps src =
+  let cycles = ref 0 and console = Buffer.create 64 in
+  let rt = Vjs.Jscomp.create_rt ~charge:(fun c -> cycles := !cycles + c) ~max_steps in
+  Hashtbl.replace (Vjs.Jscomp.globals rt) "print" (print_native console);
+  let r = Vjs.Jscomp.run rt (Vjs.Jscomp.program (parse src)) in
+  (render r, Vjs.Jscomp.steps rt, !cycles, Buffer.contents console)
+
+let run_reference ~max_steps src =
+  let cycles = ref 0 and console = Buffer.create 64 in
+  let it = Vjs_ref.create ~charge:(fun c -> cycles := !cycles + c) ~max_steps () in
+  let globals = Vjs_ref.env_create None in
+  Vjs_ref.env_define globals "print" (print_native console);
+  let r = Vjs_ref.run it globals (parse src) in
+  (render r, Vjs_ref.steps it, !cycles, Buffer.contents console)
+
+let show (r, steps, cycles, console) =
+  Printf.sprintf "%s; %d steps; %d cycles; console %S" r steps cycles console
+
+let agree ~max_steps src =
+  let c = run_compiled ~max_steps src and r = run_reference ~max_steps src in
+  if c <> r then
+    QCheck.Test.fail_reportf "compiled:  %s\nreference: %s" (show c) (show r)
+  else true
+
+(* Small programs over a few names, some never declared: blocks, [var]
+   before and after use, closures, loops with break/continue,
+   try/catch/finally, throw, implicit globals and typeof. [in_loop] and
+   [in_fun] keep break/continue/return where the walker handles them. *)
+let gen_program =
+  let open QCheck.Gen in
+  let name = frequencyl [ (3, "a"); (3, "b"); (3, "x"); (1, "y"); (1, "zz") ] in
+  let fname = oneofl [ "f"; "g"; "h" ] in
+  let rec expr d =
+    let leaf =
+      oneof
+        [
+          map string_of_int (int_range 0 9);
+          oneofl [ {|"s"|}; {|""|}; "true"; "null"; "undefined"; "3000000000" ];
+          name;
+          map (Printf.sprintf "typeof %s") name;
+        ]
+    in
+    if d <= 0 then leaf
+    else
+      let sub = expr (d - 1) in
+      frequency
+        [
+          (4, leaf);
+          ( 3,
+            map3 (Printf.sprintf "(%s %s %s)") sub
+              (oneofl [ "+"; "-"; "*"; "<"; "==="; "=="; "&&"; "||"; "&"; "|"; "<<"; ">>" ])
+              sub );
+          (1, map3 (Printf.sprintf "(%s ? %s : %s)") sub sub sub);
+          (1, map2 (Printf.sprintf "(%s = %s)") name sub);
+          (* the index is masked: a huge one would grow the array *)
+          (1, map2 (Printf.sprintf "([1, 2][(%s) & 3] = %s)") sub sub);
+          (1, map (Printf.sprintf "(({ k: 1 }).k = %s)") sub);
+          (1, map (Printf.sprintf "(%s++)") name);
+          (1, map2 (Printf.sprintf "%s(%s)") fname sub);
+          ( 1,
+            map2
+              (Printf.sprintf "(function (p) { %s return p + 1; })(%s)")
+              (stmts (d - 1) ~in_loop:false ~in_fun:true)
+              sub );
+          (1, map2 (Printf.sprintf "[%s, %s].length") sub sub);
+          (1, map2 (Printf.sprintf "[%s, %s][1]") sub sub);
+          (1, map (Printf.sprintf "({ k: %s }).k") sub);
+          (1, map (Printf.sprintf "(!%s)") sub);
+        ]
+  and stmt d ~in_loop ~in_fun =
+    let e = expr (min d 2) in
+    let simple =
+      [
+        (3, map2 (Printf.sprintf "var %s = %s;") name e);
+        (1, map (Printf.sprintf "var %s;") name);
+        (3, map2 (Printf.sprintf "%s = %s;") name e);
+        (1, map2 (Printf.sprintf "%s += %s;") name e);
+        (3, map (Printf.sprintf "print(%s);") e);
+        (1, map (Printf.sprintf "throw %s;") e);
+      ]
+      @ (if in_loop then [ (1, return "break;"); (1, return "continue;") ] else [])
+      @ if in_fun then [ (1, map (Printf.sprintf "return %s;") e) ] else []
+    in
+    if d <= 0 then frequency simple
+    else
+      let body ?(in_loop = in_loop) () = stmts (d - 1) ~in_loop ~in_fun in
+      frequency
+        (simple
+        @ [
+            (2, map (Printf.sprintf "{ %s }") (body ()));
+            (2, map3 (Printf.sprintf "if (%s) { %s } else { %s }") e (body ()) (body ()));
+            ( 1,
+              map2
+                (fun n b -> Printf.sprintf "var %s = 0; while (%s < 3) { %s++; %s }" n n n b)
+                name (body ~in_loop:true ()) );
+            ( 2,
+              map2
+                (fun n b -> Printf.sprintf "for (var %s = 0; %s < 3; %s++) { %s }" n n n b)
+                name (body ~in_loop:true ()) );
+            ( 1,
+              map3
+                (fun b c f -> Printf.sprintf "try { %s } catch (e) { print(e); %s } finally { %s }" b c f)
+                (body ()) (body ()) (body ()) );
+            (1, map3 (Printf.sprintf "try { %s } catch (%s) { %s }") (body ()) name (body ()));
+            (1, map2 (Printf.sprintf "try { %s } finally { print(\"f\"); %s }") (body ()) (body ()));
+            ( 2,
+              map3
+                (fun f b r -> Printf.sprintf "function %s(p, q) { %s return %s; }" f b r)
+                fname (stmts (d - 1) ~in_loop:false ~in_fun:true) e );
+          ])
+  and stmts d ~in_loop ~in_fun =
+    map (String.concat " ") (list_size (int_range 0 4) (stmt d ~in_loop ~in_fun)) in
+  (* [y] and [zz] start undeclared *)
+  let prelude = "var a = 1; var b = 2; var x = 3; function f(p, q) { return p; } function g(p) { return 1; } " in
+  pair (int_range 1 400)
+    (map (( ^ ) prelude) (oneof (List.map (fun d -> stmts d ~in_loop:false ~in_fun:false) [ 1; 2; 3 ])))
+
+let prop_differential =
+  QCheck.Test.make ~name:"compiled engine agrees with the tree walker" ~count:3000
+    (QCheck.make ~print:(fun (max_steps, src) -> Printf.sprintf "max_steps %d: %s" max_steps src)
+       gen_program)
+    (fun (max_steps, src) -> agree ~max_steps src)
+
+(* the scoping quirks the compiled engine keeps from the walker *)
+let quirk label ~expect src =
+  let ((r, _, _, _) as c) = run_compiled ~max_steps:10_000 src in
+  Alcotest.(check string) label expect r;
+  Alcotest.(check string) (label ^ ": same as the walker") (show (run_reference ~max_steps:10_000 src)) (show c)
+
+let test_scoping_quirks () =
+  quirk "assigning before the var creates a global" ~expect:"string number"
+    "function f() { y = 5; var y = 7; return y; } f(); typeof y";
+  quirk "the local shadows only once it binds" ~expect:"number 3"
+    "var x = 1; function g() { var r = x; var x = 2; return r + x; } g()";
+  quirk "a block read falls through until its var runs" ~expect:"string outerinner"
+    {|var x = "outer"; var r; { var s = x; var x = "inner"; r = s + x; } r|};
+  quirk "var is block-scoped" ~expect:"number 1" "var x = 1; { var x = 2; } x";
+  quirk "a block var is gone after the block" ~expect:"error: ReferenceError: s is not defined"
+    "{ var s = 1; } s";
+  quirk "loop iterations get fresh frames" ~expect:"number 3"
+    "var fs = []; for (var i = 0; i < 3; i++) { var j = i; fs.push(function () { return j; }); } fs[0]() + fs[1]() + fs[2]()";
+  quirk "an implicit global from a closure" ~expect:"number 42"
+    "function set() { (function () { w = 42; })(); } set(); w";
+  quirk "typeof an undeclared name" ~expect:"string undefined" "typeof nowhere";
+  quirk "var without init rebinds a parameter" ~expect:"undefined undefined"
+    "function f(p) { var p; return p; } f(1)";
+  quirk "the catch binding is scoped to the catch" ~expect:"string outer"
+    {|var e = "outer"; try { throw 1; } catch (e) { e = 2; } e|};
+  (* a hoisted declaration charges nothing; typeof of a name charges one tick *)
+  let _, steps, cycles, _ = run_compiled ~max_steps:100 "function f() { return 1; }" in
+  Alcotest.(check (pair int int)) "hoisting is free" (0, 0) (steps, cycles);
+  let _, steps, _, _ = run_compiled ~max_steps:100 "typeof zz" in
+  Alcotest.(check int) "typeof ident is one tick" 1 steps;
+  (* the value is evaluated before the target's receiver and index *)
+  quirk "assignment order" ~expect:"string 1,5"
+    "var a = [0, 0]; var i = 0; a[i] = (i = 1) + 4; a[0] = i; a.join()";
+  quirk "a step budget error is catchable" ~expect:"error: script step budget exceeded"
+    "var r = 0; try { while (true) { } } catch (e) { r = e; } r"
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words allocated while [f] runs: deterministic for a fixed
+   binary, so the bound is an exact gate, not timing. *)
+let words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* A warm invocation restores the snapshotted isolate (rebuilding the
+   engine from the compiled source), decodes 512 input bytes and runs
+   the base64 loop. Most of the words are the guest's quadratic
+   [out += ...] string concatenation. *)
+let test_warm_invoke_allocation () =
+  let w = Wasp.Runtime.create () in
+  let iso = Vjs.Isolate.create w ~key:"alloc" ~source:Vjs.Workload.base64_js_source ~entry:"encode" in
+  let input = Vjs.Workload.make_input ~size:512 in
+  let expected = Vjs.Workload.reference_encode input in
+  let invoke () =
+    match Vjs.Isolate.invoke iso ~input with
+    | Ok out, _ -> Alcotest.(check string) "output" expected out
+    | Error e, _ -> Alcotest.fail e
+  in
+  invoke ();
+  invoke ();
+  let words = words_during invoke in
+  Alcotest.(check bool) (Printf.sprintf "%.0f words per warm invoke (<= 50000)" words) true (words <= 50_000.)
+
+(* ------------------------------------------------------------------ *)
 (* The base64 workload (§6.5)                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -297,6 +545,7 @@ let () =
           Alcotest.test_case "variables" `Quick test_variables;
           Alcotest.test_case "strings" `Quick test_strings;
           Alcotest.test_case "bitwise" `Quick test_bitwise;
+          Alcotest.test_case "numbers" `Quick test_numbers;
           Alcotest.test_case "comparisons" `Quick test_comparisons;
           Alcotest.test_case "control flow" `Quick test_control_flow;
           Alcotest.test_case "functions" `Quick test_functions;
@@ -318,6 +567,12 @@ let () =
           Alcotest.test_case "print/console" `Quick test_print_console;
           Alcotest.test_case "cost charging" `Quick test_engine_charges;
         ] );
+      ( "differential",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7a5 |]) prop_differential;
+          Alcotest.test_case "scoping quirks" `Quick test_scoping_quirks;
+        ] );
+      ("allocation", [ Alcotest.test_case "warm 512 B invoke" `Quick test_warm_invoke_allocation ]);
       ( "workload",
         [
           Alcotest.test_case "baseline correct" `Quick test_workload_baseline_correct;

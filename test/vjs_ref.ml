@@ -1,9 +1,23 @@
-(* Tree-walking evaluator with a pluggable cycle-charging hook: every
-   evaluated node charges [cost_per_node] so the same engine runs with
-   identical semantics natively and in virtine context, differing only in
-   where the cycles are charged. *)
+(* The reference evaluator for the vjs differential tests: the tree
+   walker the engine used before it compiled programs to closures. It
+   walks the AST with a string-keyed environment per scope and ticks once
+   per evaluated node, so the compiled engine must agree with it on
+   values, errors, steps, charged cycles and console output. *)
 
-open Jsvalue
+open Vjs.Jsvalue
+module Jsast = Vjs.Jsast
+
+type env = { tbl : (string, t ref) Hashtbl.t; parent : env option }
+
+let env_create parent = { tbl = Hashtbl.create 8; parent }
+let env_define env name v = Hashtbl.replace env.tbl name (ref v)
+
+let rec env_lookup env name =
+  match Hashtbl.find_opt env.tbl name with
+  | Some r -> Some r
+  | None -> ( match env.parent with Some p -> env_lookup p name | None -> None)
+
+let i32 v = Int32.of_int (to_int32 v)
 
 exception Return_exc of t
 exception Break_exc
@@ -163,7 +177,7 @@ and eval_expr it env (e : Jsast.expr) : t =
       let tbl = Hashtbl.create 8 in
       List.iter (fun (k, v) -> Hashtbl.replace tbl k (eval_expr it env v)) fields;
       Obj tbl
-  | Jsast.Efun (params, body) -> Fun { params; body; env; fname = "anonymous" }
+  | Jsast.Efun (params, body) -> make_fun it "anonymous" params body env
   | Jsast.Ecall (f, args) ->
       let fv = eval_expr it env f in
       let argv = List.map (eval_expr it env) args in
@@ -204,7 +218,7 @@ and eval_expr it env (e : Jsast.expr) : t =
       | "-" -> Num (-.to_number v)
       | "+" -> Num (to_number v)
       | "!" -> Bool (not (truthy v))
-      | "~" -> Num (Int32.to_float (Int32.lognot (to_int32 v)))
+      | "~" -> Num (Int32.to_float (Int32.lognot (i32 v)))
       | _ -> js_fail "unknown unary %s" op)
   | Jsast.Ebinop (op, a, b) -> eval_binop it env op a b
   | Jsast.Eassign (target, value) -> (
@@ -267,13 +281,13 @@ and eval_binop it env op a b =
       | "!=" -> Bool (not (loose_equal va vb))
       | "===" -> Bool (strict_equal va vb)
       | "!==" -> Bool (not (strict_equal va vb))
-      | "&" -> Num (Int32.to_float (Int32.logand (to_int32 va) (to_int32 vb)))
-      | "|" -> Num (Int32.to_float (Int32.logor (to_int32 va) (to_int32 vb)))
-      | "^" -> Num (Int32.to_float (Int32.logxor (to_int32 va) (to_int32 vb)))
+      | "&" -> Num (Int32.to_float (Int32.logand (i32 va) (i32 vb)))
+      | "|" -> Num (Int32.to_float (Int32.logor (i32 va) (i32 vb)))
+      | "^" -> Num (Int32.to_float (Int32.logxor (i32 va) (i32 vb)))
       | "<<" ->
-          Num (Int32.to_float (Int32.shift_left (to_int32 va) (Int32.to_int (to_int32 vb) land 31)))
+          Num (Int32.to_float (Int32.shift_left (i32 va) (Int32.to_int (i32 vb) land 31)))
       | ">>" ->
-          Num (Int32.to_float (Int32.shift_right (to_int32 va) (Int32.to_int (to_int32 vb) land 31)))
+          Num (Int32.to_float (Int32.shift_right (i32 va) (Int32.to_int (i32 vb) land 31)))
       | _ -> js_fail "unknown operator %s" op)
 
 and compare_values a b numcmp strcmp =
@@ -281,25 +295,30 @@ and compare_values a b numcmp strcmp =
   | Str x, Str y -> Bool (strcmp x y)
   | _ -> Bool (numcmp (to_number a) (to_number b))
 
-and call it fv argv =
+and make_fun it fname params body env =
+  Fun { fname; call = (fun args -> call_body it params body env (Array.to_list args)) }
+
+and call_body it params body env argv =
+  let fenv = env_create (Some env) in
+  let rec bind params args =
+    match (params, args) with
+    | [], _ -> ()
+    | p :: ps, [] ->
+        env_define fenv p Undefined;
+        bind ps []
+    | p :: ps, a :: rest ->
+        env_define fenv p a;
+        bind ps rest
+  in
+  bind params argv;
+  (try
+     exec_stmts it fenv body;
+     Undefined
+   with Return_exc v -> v)
+
+and call _it fv argv =
   match fv with
-  | Fun f ->
-      let fenv = env_create (Some f.env) in
-      let rec bind params args =
-        match (params, args) with
-        | [], _ -> ()
-        | p :: ps, [] ->
-            env_define fenv p Undefined;
-            bind ps []
-        | p :: ps, a :: rest ->
-            env_define fenv p a;
-            bind ps rest
-      in
-      bind f.params argv;
-      (try
-         exec_stmts it fenv f.body;
-         Undefined
-       with Return_exc v -> v)
+  | Fun f -> f.call (Array.of_list argv)
   | Native (_, f) -> f argv
   | other -> js_fail "%s is not a function" (type_name other)
 
@@ -334,7 +353,7 @@ and exec_stmt it env (s : Jsast.stmt) : unit =
   | Jsast.Sbreak -> raise Break_exc
   | Jsast.Scontinue -> raise Continue_exc
   | Jsast.Sfundecl (name, params, body) ->
-      env_define env name (Fun { params; body; env; fname = name })
+      env_define env name (make_fun it name params body env)
   | Jsast.Sblock body -> exec_stmts it (env_create (Some env)) body
   | Jsast.Sthrow e -> raise (Throw_exc (eval_expr it env e))
   | Jsast.Stry (body, catch, fin) ->
@@ -363,15 +382,29 @@ and exec_stmt it env (s : Jsast.stmt) : unit =
 
 and exec_stmts it env stmts = List.iter (exec_stmt it env) stmts
 
-(* hoist function declarations, as JS does *)
-let exec_program it env stmts =
-  List.iter
-    (fun s ->
-      match s with
-      | Jsast.Sfundecl (name, params, body) ->
-          env_define env name (Fun { params; body; env; fname = name })
-      | _ -> ())
-    stmts;
-  List.iter
-    (fun s -> match s with Jsast.Sfundecl _ -> () | _ -> exec_stmt it env s)
-    stmts
+(* the engine's top level: hoisted declarations charge nothing, and a
+   top-level expression statement charges only its expression *)
+let run it globals prog =
+  reset_steps it;
+  let result = ref Undefined in
+  let go () =
+    List.iter
+      (function
+        | Jsast.Sfundecl (name, params, body) ->
+            env_define globals name (make_fun it name params body globals)
+        | _ -> ())
+      prog;
+    List.iter
+      (function
+        | Jsast.Sfundecl _ -> ()
+        | Jsast.Sexpr e -> result := eval_expr it globals e
+        | s -> exec_stmt it globals s)
+      prog
+  in
+  match go () with
+  | () -> Ok !result
+  | exception Js_error msg -> Error msg
+  | exception Throw_exc v -> Error ("uncaught: " ^ to_string v)
+  | exception Return_exc _ -> Error "return outside function"
+
+let steps it = it.steps
