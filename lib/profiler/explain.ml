@@ -59,18 +59,23 @@ let render_tree buf ~root_start tree =
   in
   go "  " tree
 
+(* Only children on the root's core share its clock, so only they can
+   be held against its duration. *)
 let conservation buf tree =
   let root = tree.span in
+  let children =
+    List.filter (fun t -> t.span.Telemetry.Span.core = root.Telemetry.Span.core) tree.children
+  in
   let child_sum =
     List.fold_left
       (fun acc t -> Int64.add acc t.span.Telemetry.Span.duration)
-      0L tree.children
+      0L children
   in
-  if tree.children = [] then ()
+  if children = [] then ()
   else if Int64.equal child_sum root.Telemetry.Span.duration then
     Buffer.add_string buf
       (Printf.sprintf "  conservation: %d children sum to %Ld cycles = root (exact)\n"
-         (List.length tree.children) child_sum)
+         (List.length children) child_sum)
   else
     Buffer.add_string buf
       (Printf.sprintf

@@ -21,6 +21,7 @@ type item =
 
 type frame = {
   f_name : string;
+  f_clk : Cycles.Clock.t;  (* the clock the span opened on, which closes it *)
   f_start : int64;
   f_depth : int;
   f_seq : int;
@@ -92,6 +93,7 @@ let enter s ?(args = []) name =
   let frame =
     {
       f_name = name;
+      f_clk = s.clk;
       f_start = Cycles.Clock.now s.clk;
       f_depth = List.length s.stack;
       f_seq = fresh_seq s;
@@ -115,7 +117,7 @@ let leave s ?(args = []) () =
            {
              name = f.f_name;
              start_cycles = f.f_start;
-             duration = Cycles.Clock.elapsed_since s.clk f.f_start;
+             duration = Cycles.Clock.elapsed_since f.f_clk f.f_start;
              depth = f.f_depth;
              seq = f.f_seq;
              core = f.f_core;

@@ -12,7 +12,7 @@
 type span = {
   name : string;                   (** phase name, e.g. ["boot"] *)
   start_cycles : int64;            (** clock value when the span opened *)
-  duration : int64;                (** cycles between open and close *)
+  duration : int64;                (** cycles between open and close, on the clock it opened on *)
   depth : int;                     (** nesting depth; 0 = root *)
   seq : int;                       (** creation order, unique per sink *)
   core : int;                      (** simulated core the span was opened on *)
@@ -42,8 +42,9 @@ val clock : sink -> Cycles.Clock.t
 
 val set_clock : sink -> Cycles.Clock.t -> unit
 (** Retarget the stamping clock (multi-core runs switch the sink to the
-    active core's clock). Only switch between spans: a span that is open
-    across a switch gets its duration measured on the leave-time clock. *)
+    active core's clock). A span open across a switch keeps the clock it
+    opened on: its duration counts only that core's cycles, and a child
+    opened after the switch is on another core's clock. *)
 
 val core : sink -> int
 

@@ -1,52 +1,56 @@
 type node = {
-  key : string;
   name : string;
   node_depth : int;
   order : int;
   mutable count : int;
   mutable total : int64;
+  mutable child : int64;  (* cycles of children on the parent's own core *)
   mutable durs : int64 list;
 }
 
 (* Rebuild the span tree from (seq, depth): spans arrive in enter order,
-   so a span at depth d is a child of the most recent span at depth d-1. *)
+   so a span at depth d is a child of the most recent span at depth d-1.
+   A child counts against its parent's self time only when both ran on
+   the same core: their durations come from the same clock. *)
 let aggregate spans =
   let tbl : (string, node) Hashtbl.t = Hashtbl.create 32 in
-  let parent_of : (string, string option) Hashtbl.t = Hashtbl.create 32 in
   let stack = ref [] in
   List.iter
     (fun (s : Span.span) ->
       let rec trim st = if List.length st > s.Span.depth then trim (List.tl st) else st in
       stack := trim !stack;
-      let path = s.Span.name :: !stack in
+      (match !stack with
+      | (parent, (p : Span.span)) :: _ when p.Span.core = s.Span.core ->
+          parent.child <- Int64.add parent.child s.Span.duration
+      | _ -> ());
+      let path = s.Span.name :: List.map (fun (n, _) -> n.name) !stack in
       let key = String.concat " / " (List.rev path) in
-      let parent =
-        match !stack with [] -> None | st -> Some (String.concat " / " (List.rev st))
+      let n =
+        match Hashtbl.find_opt tbl key with
+        | Some n ->
+            n.count <- n.count + 1;
+            n.total <- Int64.add n.total s.Span.duration;
+            n.durs <- s.Span.duration :: n.durs;
+            n
+        | None ->
+            let n =
+              {
+                name = s.Span.name;
+                node_depth = s.Span.depth;
+                order = s.Span.seq;
+                count = 1;
+                total = s.Span.duration;
+                child = 0L;
+                durs = [ s.Span.duration ];
+              }
+            in
+            Hashtbl.add tbl key n;
+            n
       in
-      Hashtbl.replace parent_of key parent;
-      (match Hashtbl.find_opt tbl key with
-      | Some n ->
-          n.count <- n.count + 1;
-          n.total <- Int64.add n.total s.Span.duration;
-          n.durs <- s.Span.duration :: n.durs
-      | None ->
-          Hashtbl.add tbl key
-            {
-              key;
-              name = s.Span.name;
-              node_depth = s.Span.depth;
-              order = s.Span.seq;
-              count = 1;
-              total = s.Span.duration;
-              durs = [ s.Span.duration ];
-            });
-      stack := path)
+      stack := (n, s) :: !stack)
     spans;
-  let nodes =
-    Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
-    |> List.sort (fun a b -> compare a.order b.order)
-  in
-  (nodes, parent_of)
+  Hashtbl.fold (fun _ n acc -> n :: acc) tbl []
+  |> List.sort (fun a b -> compare a.order b.order)
 
 let render ?(title = "Telemetry: where did the cycles go") hub =
   let clk = Hub.clock hub in
@@ -56,19 +60,8 @@ let render ?(title = "Telemetry: where did the cycles go") hub =
   Buffer.add_string buf (title ^ "\n");
   if spans = [] then Buffer.add_string buf "(no spans recorded)\n"
   else begin
-    let nodes, parent_of = aggregate spans in
-    let child_total : (string, int64) Hashtbl.t = Hashtbl.create 32 in
-    List.iter
-      (fun n ->
-        match Hashtbl.find_opt parent_of n.key with
-        | Some (Some p) ->
-            let prev = Option.value ~default:0L (Hashtbl.find_opt child_total p) in
-            Hashtbl.replace child_total p (Int64.add prev n.total)
-        | _ -> ())
-      nodes;
-    let self n =
-      Int64.sub n.total (Option.value ~default:0L (Hashtbl.find_opt child_total n.key))
-    in
+    let nodes = aggregate spans in
+    let self n = Int64.sub n.total n.child in
     let wall =
       List.fold_left
         (fun acc n -> if n.node_depth = 0 then Int64.add acc n.total else acc)

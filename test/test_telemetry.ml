@@ -318,6 +318,44 @@ let test_summary_renders () =
       Alcotest.(check bool) ("summary mentions " ^ needle) true (go 0))
     [ "invocation"; "provision"; "boot"; "execute"; "clean"; "% wall" ]
 
+(* A span open across a core switch, as the gateway's [route] is when it
+   hands the request to another core: the parent keeps its own clock, and
+   the summary holds only same-core children against its self time. *)
+let test_cross_core_self_time () =
+  let clk0 = Cycles.Clock.create () and clk1 = Cycles.Clock.create () in
+  let hub = Telemetry.Hub.create ~clock:clk0 () in
+  let on core clk =
+    Telemetry.Hub.set_clock hub clk;
+    Telemetry.Hub.set_core hub core
+  in
+  Cycles.Clock.advance_int clk0 5_000;
+  Telemetry.Hub.enter hub "route";
+  Cycles.Clock.advance_int clk0 30;
+  on 1 clk1;
+  Telemetry.Hub.with_span hub "invoke" (fun () -> Cycles.Clock.advance_int clk1 1_000);
+  Telemetry.Hub.leave hub ();
+  on 0 clk0;
+  Telemetry.Hub.enter hub "route";
+  Telemetry.Hub.with_span hub "invoke" (fun () -> Cycles.Clock.advance_int clk0 200);
+  Cycles.Clock.advance_int clk0 7;
+  Telemetry.Hub.leave hub ();
+  let durations name =
+    List.filter_map
+      (fun (s : Telemetry.Span.span) -> if s.name = name then Some s.duration else None)
+      (Telemetry.Span.spans (Telemetry.Hub.spans hub))
+  in
+  Alcotest.(check (list int64)) "route on its own clock" [ 30L; 207L ] (durations "route");
+  Alcotest.(check (list int64)) "invoke" [ 1_000L; 200L ] (durations "invoke");
+  (* route: 237 cycles, less the same-core invoke (200) = 37 self *)
+  let row =
+    List.find
+      (fun l -> String.length l > 8 && String.sub l 0 8 = "| route ")
+      (String.split_on_char '\n' (Telemetry.Summary.render hub))
+  in
+  let cells = List.map String.trim (String.split_on_char '|' row) in
+  Alcotest.(check (list string)) "route row" [ ""; "route"; "2"; "237"; "37" ]
+    (List.filteri (fun i _ -> i < 5) cells)
+
 let test_percentile_table_renders () =
   let out =
     Stats.Report.percentile_table ~unit_label:"us"
@@ -668,6 +706,8 @@ let () =
             test_prometheus_label_escaping;
           Alcotest.test_case "chrome per-core tids" `Quick test_chrome_per_core_tids;
           Alcotest.test_case "summary renders phases" `Quick test_summary_renders;
+          Alcotest.test_case "cross-core spans: no negative self time" `Quick
+            test_cross_core_self_time;
           Alcotest.test_case "percentile table renders" `Quick
             test_percentile_table_renders;
         ] );
