@@ -278,6 +278,14 @@ let of_bool b = if b then Bool true else Bool false
 
 let int32_op f : t -> t -> t = fun a b -> Num (float_of_int (f (to_int32 a) (to_int32 b)))
 
+(* strings compare by bytes, anything else as numbers; NaN is unordered *)
+let relational test a b =
+  match (a, b) with
+  | Str x, Str y -> of_bool (test (String.compare x y))
+  | _ ->
+      let x = to_number a and y = to_number b in
+      of_bool ((not (Float.is_nan x || Float.is_nan y)) && test (Float.compare x y))
+
 let binop op : t -> t -> t =
   match op with
   | "+" -> (
@@ -290,26 +298,10 @@ let binop op : t -> t -> t =
   | "*" -> fun a b -> Num (to_number a *. to_number b)
   | "/" -> fun a b -> Num (to_number a /. to_number b)
   | "%" -> fun a b -> Num (Float.rem (to_number a) (to_number b))
-  | "<" -> (
-      fun a b ->
-        match (a, b) with
-        | Str x, Str y -> of_bool (String.compare x y < 0)
-        | _ -> of_bool ((to_number a : float) < to_number b))
-  | "<=" -> (
-      fun a b ->
-        match (a, b) with
-        | Str x, Str y -> of_bool (String.compare x y <= 0)
-        | _ -> of_bool ((to_number a : float) <= to_number b))
-  | ">" -> (
-      fun a b ->
-        match (a, b) with
-        | Str x, Str y -> of_bool (String.compare x y > 0)
-        | _ -> of_bool ((to_number a : float) > to_number b))
-  | ">=" -> (
-      fun a b ->
-        match (a, b) with
-        | Str x, Str y -> of_bool (String.compare x y >= 0)
-        | _ -> of_bool ((to_number a : float) >= to_number b))
+  | "<" -> relational (fun c -> c < 0)
+  | "<=" -> relational (fun c -> c <= 0)
+  | ">" -> relational (fun c -> c > 0)
+  | ">=" -> relational (fun c -> c >= 0)
   | "==" -> fun a b -> of_bool (loose_equal a b)
   | "!=" -> fun a b -> of_bool (not (loose_equal a b))
   | "===" -> fun a b -> of_bool (strict_equal a b)
@@ -329,32 +321,21 @@ let unop op : t -> t =
   | "~" -> fun v -> Num (float_of_int (lnot (to_int32 v)))
   | _ -> fun _ -> js_fail "unknown unary %s" op
 
+let literal v : code = fun rt _ -> tick rt; v
+
 let rec expr cenv (e : Jsast.expr) : code =
   match e with
-  | Jsast.Enum n ->
-      let v = Num n in
-      fun rt _ -> tick rt; v
-  | Jsast.Estr s ->
-      let v = Str s in
-      fun rt _ -> tick rt; v
-  | Jsast.Ebool b ->
-      let v = of_bool b in
-      fun rt _ -> tick rt; v
-  | Jsast.Enull -> fun rt _ -> tick rt; Null
-  | Jsast.Eundefined -> fun rt _ -> tick rt; Undefined
-  | Jsast.Eident name -> (
-      match resolve cenv name with
-      | [] -> fun rt _ -> tick rt; read_global rt name
-      | [ (0, s) ] ->
-          fun rt fr ->
-            tick rt;
-            let v = fr.vars.(s) in
-            if v != unbound then v else read_global rt name
-      | cands ->
-          fun rt fr ->
-            tick rt;
-            let v = read_slots fr 0 cands in
-            if v != unbound then v else read_global rt name)
+  | Jsast.Enum n -> literal (Num n)
+  | Jsast.Estr s -> literal (Str s)
+  | Jsast.Ebool b -> literal (of_bool b)
+  | Jsast.Enull -> literal Null
+  | Jsast.Eundefined -> literal Undefined
+  | Jsast.Eident name ->
+      let cands = resolve cenv name in
+      fun rt fr ->
+        tick rt;
+        let v = read_slots fr 0 cands in
+        if v != unbound then v else read_global rt name
   | Jsast.Earray items ->
       let items = exprs cenv items in
       fun rt fr ->
@@ -533,12 +514,10 @@ and stmt cenv (s : Jsast.stmt) : scode =
       let e = expr cenv e in
       fun rt fr -> tick rt; ignore (e rt fr)
   | Jsast.Svar (name, init) ->
-      let def = define cenv name in
-      (match init with
-      | Some e ->
-          let e = expr cenv e in
-          fun rt fr -> tick rt; def rt fr (e rt fr)
-      | None -> fun rt fr -> tick rt; def rt fr Undefined)
+      let def = define cenv name and init = Option.map (expr cenv) init in
+      fun rt fr ->
+        tick rt;
+        def rt fr (match init with Some e -> e rt fr | None -> Undefined)
   | Jsast.Sif (c, t, f) ->
       let c = expr cenv c and t = block cenv t and f = block cenv f in
       fun rt fr -> tick rt; if truthy (c rt fr) then t rt fr else f rt fr
@@ -568,12 +547,11 @@ and stmt cenv (s : Jsast.stmt) : scode =
              match step with Some e -> ignore (e rt fr) | None -> ()
            done
          with Break_exc -> ())
-  | Jsast.Sreturn e -> (
-      match e with
-      | Some e ->
-          let e = expr cenv e in
-          fun rt fr -> tick rt; raise (Return_exc (e rt fr))
-      | None -> fun rt _ -> tick rt; raise (Return_exc Undefined))
+  | Jsast.Sreturn e ->
+      let e = Option.map (expr cenv) e in
+      fun rt fr ->
+        tick rt;
+        raise (Return_exc (match e with Some e -> e rt fr | None -> Undefined))
   | Jsast.Sbreak -> fun rt _ -> tick rt; raise Break_exc
   | Jsast.Scontinue -> fun rt _ -> tick rt; raise Continue_exc
   | Jsast.Sfundecl (name, params, body) ->
