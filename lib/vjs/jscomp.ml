@@ -58,7 +58,11 @@ type scode = rt -> frame -> unit
 (* Builtin methods, dispatched on the receiver kind                    *)
 (* ------------------------------------------------------------------ *)
 
-let char_strs = Array.init 256 (fun i -> Str (String.make 1 (Char.chr i)))
+(* Strings are immutable, so every one-character result shares one
+   value. Built on first use: a program that links vjs but never runs JS
+   should not carry the table in its heap. *)
+let char_strs = lazy (Array.init 256 (fun i -> Str (String.make 1 (Char.chr i))))
+let char_str c = (Lazy.force char_strs).(Char.code c)
 let no_args : t array = [||]
 
 let call_value fv (argv : t array) =
@@ -82,7 +86,7 @@ let string_method name : string -> t array -> t =
   | "charAt" ->
       fun recv args ->
         let i = num args 0 in
-        if i < 0 || i >= String.length recv then Str "" else char_strs.(Char.code recv.[i])
+        if i < 0 || i >= String.length recv then Str "" else char_str recv.[i]
   | "indexOf" ->
       fun hay args ->
         let needle = to_string (arg args 0) in
@@ -108,7 +112,7 @@ let string_method name : string -> t array -> t =
   | "split" ->
       fun recv args ->
         let sep = to_string (arg args 0) in
-        if sep = "" then Arr (vec_of_array (Array.init (String.length recv) (fun i -> char_strs.(Char.code recv.[i]))))
+        if sep = "" then Arr (vec_of_array (Array.init (String.length recv) (fun i -> char_str recv.[i])))
         else begin
           let parts = ref [] and start = ref 0 in
           let nh = String.length recv and nn = String.length sep in
@@ -392,7 +396,7 @@ let rec expr cenv (e : Jsast.expr) : code =
         | Arr v -> vec_get v (int_of_float (to_number iv))
         | Str s ->
             let i = int_of_float (to_number iv) in
-            if i < 0 || i >= String.length s then Undefined else char_strs.(Char.code s.[i])
+            if i < 0 || i >= String.length s then Undefined else char_str s.[i]
         | Obj tbl -> ( match Hashtbl.find tbl (to_string iv) with v -> v | exception Not_found -> Undefined)
         | _ -> js_fail "cannot index %s" (type_name rv))
   | Jsast.Eunop (op, a) ->

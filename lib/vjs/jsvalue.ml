@@ -54,12 +54,16 @@ let vec_pop v =
 
 let vec_to_list v = List.init v.len (fun i -> v.items.(i))
 
-(* numbers are immutable, so every byte array shares one [Num] per value *)
-let byte_nums = Array.init 256 (fun i -> Num (float_of_int i))
+(* Numbers are immutable, so every byte array shares one [Num] per value;
+   the table is built on first use, like [Jscomp]'s one-character strings. *)
+let byte_nums = lazy (Array.init 256 (fun i -> Num (float_of_int i)))
 
 let bytes_value b =
-  if Bytes.length b = 0 then Arr (vec_create ())
-  else Arr { items = Array.init (Bytes.length b) (fun i -> byte_nums.(Bytes.get_uint8 b i)); len = Bytes.length b }
+  let n = Bytes.length b in
+  if n = 0 then Arr (vec_create ())
+  else
+    let nums = Lazy.force byte_nums in
+    Arr { items = Array.init n (fun i -> nums.(Bytes.get_uint8 b i)); len = n }
 
 let type_name = function
   | Undefined -> "undefined"
