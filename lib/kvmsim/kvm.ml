@@ -314,8 +314,9 @@ let vcpu_cpu v = v.cpu
 let vcpu_vm v = v.parent
 let translation_stats sys = sys.translation
 
-(* Shell reuse: the pool's reset_zero bumps the memory epoch, so the
-   first dispatch on the reused vCPU empties its translation table. *)
+(* Shell reuse: the translation table is kept. The pool's reset_zero
+   bumped the memory epoch, so each block is compared with the restored
+   bytes when first reentered and kept if they are unchanged. *)
 let reset_vcpu v ~mode = Vm.Cpu.reset v.cpu ~mode
 
 (* The "exit" event of one KVM_RUN: [cycles] is the run's entry-to-exit

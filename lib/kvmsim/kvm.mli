@@ -223,9 +223,11 @@ val vcpu_vm : vcpu -> vm
 
 val reset_vcpu : vcpu -> mode:Vm.Modes.t -> unit
 (** Clear architectural state for shell reuse; memory is untouched.
-    Translated blocks need no flush: every reused shell's memory went
-    through {!Vm.Memory.reset_zero}, whose epoch bump empties the
-    vCPU's translation table at its next dispatch. *)
+    Translated blocks are kept: every reused shell's memory went through
+    {!Vm.Memory.reset_zero}, whose epoch bump makes each block's first
+    reentry compare it with the bytes the next image wrote back. Equal
+    bytes reuse the block, so a shell rerunning its image translates
+    nothing. *)
 
 val run : ?fuel:int -> vcpu -> Vm.Cpu.exit_reason
 (** The [KVM_RUN] ioctl: charges syscall entry, in-kernel checks and VM

@@ -419,7 +419,9 @@ let fill_zero t =
    recycle list) and start a fresh generation — the simulated cost
    model still charges the memset this stands for.
    Bumping the epoch (rather than every page version) keeps the release
-   path O(1) while still invalidating every translated superblock. *)
+   path O(1) while still marking every translated superblock stale; the
+   translator then keeps each block whose bytes the next image writes
+   back unchanged. *)
 let reset_zero t =
   for p = 0 to t.npages - 1 do
     (match Array.unsafe_get t.pages p with Owned b -> release_page b | Zero | Shared _ -> ());

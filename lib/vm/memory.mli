@@ -73,6 +73,8 @@ val reset_zero : t -> unit
 (** Pool cleaning: drop every page reference {e and} start a fresh dirty
     generation — equivalent to {!fill_zero} + {!clear_dirty} without
     touching a byte. The caller still charges the simulated memset.
+    Bumps {!epoch}: translated blocks survive and are revalidated by
+    their bytes when next entered.
     Dropped private buffers go to a small process-wide recycle list
     (a fixed 64 pages) that backs later demand-zero fills, CoW breaks
     and eager restores in any memory; a recycled buffer is overwritten
@@ -149,12 +151,15 @@ val clear_dirty : t -> unit
     image restores); {!reset_zero} instead bumps a memory-wide {e epoch}
     in O(1). The translation cache ({!module:Translate}) records the
     epoch and the versions of the pages a superblock was decoded from
-    and re-validates them before reuse, so self-modifying code and pool
-    resets invalidate exactly the stale blocks. {!clear_dirty} changes
+    as a filter: a block they mark stale is compared with the bytes it
+    decoded, so self-modifying code and pool resets cost a
+    retranslation only where the bytes changed. {!clear_dirty} changes
     neither — cleaning the dirty set does not alter contents. *)
 
 val epoch : t -> int
-(** Memory-wide content epoch; bumped by {!reset_zero}. *)
+(** Memory-wide content epoch; bumped by {!reset_zero}, which thereby
+    marks every translated block stale without touching a page
+    version. *)
 
 val page_version : t -> int -> int
 (** Content version of page [p] (not bounds-checked; callers pass pages

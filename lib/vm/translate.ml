@@ -6,10 +6,12 @@
    decodes each basic block once into a *superblock*: an OCaml closure
    chain with one direct-threaded continuation per instruction, chained
    on fallthrough and static branch targets. Blocks are keyed by
-   (pc, cpu_mode). The page content versions in Memory are a fast
-   filter; a block whose versions went stale is revalidated against the
-   bytes it decoded, so only a store that changed those bytes (or a
-   pool reset's epoch bump) costs a retranslation.
+   (pc, cpu_mode). The memory epoch and page content versions in Memory
+   are a fast filter; a block they mark stale (after a store, a pool
+   reset or a snapshot restore) is revalidated against the bytes it
+   decoded, so only changed bytes cost a retranslation. Blocks outlive
+   pool resets: a recycled shell rerunning the same image retranslates
+   nothing.
 
    Running a cached block allocates nothing: registers live in the
    CPU's Bytes register file and every operand is an int64 slot, so no
@@ -50,14 +52,13 @@ type stats = {
 type slot = { mutable s_blk : block option }
 
 and block = {
-  b_epoch : int;          (* Memory.epoch at translation time *)
+  mutable b_epoch : int;  (* Memory.epoch when the bytes were last known equal *)
   b_pc : int;             (* entry pc *)
   b_code : string;        (* the bytes decoded, [b_pc, end pc) *)
   b_pages : int array;    (* pages those bytes span *)
   b_vers : int array;
-      (* their content versions when the bytes were last known equal to
-         [b_code]; restamped in place by [lookup], which the block's own
-         write checks read *)
+      (* their content versions at that point; restamped in place with
+         [b_epoch] by [lookup], and read by the block's own write checks *)
   b_exec : unit -> Cpu.exit_reason option;
       (* [Some exit] = VM exit; [None] = control left the chain
          (indirect branch, a store to the block's own pages, undecodable
@@ -69,7 +70,6 @@ type t = {
   mem : Memory.t;
   clock : Cycles.Clock.t;
   table : (int, block) Hashtbl.t;
-  mutable t_epoch : int;  (* epoch the table's entries belong to *)
   mutable cyc : int;      (* cycles charged but not yet committed *)
   mutable steps : int;    (* instructions retired but not yet committed *)
   mutable fuel : int;
@@ -87,7 +87,6 @@ let create ?(stats = new_stats ()) cpu =
     mem = Cpu.mem cpu;
     clock = Cpu.clock cpu;
     table = Hashtbl.create 64;
-    t_epoch = Memory.epoch (Cpu.mem cpu);
     cyc = 0;
     steps = 0;
     fuel = 0;
@@ -127,12 +126,15 @@ let rec pages_current mem pages vers i =
 let block_valid tr b =
   b.b_epoch = Memory.epoch tr.mem && pages_current tr.mem b.b_pages b.b_vers 0
 
-(* The versions are only a filter: a store anywhere on a code page bumps
-   them, but the block stays correct as long as its own bytes are
-   unchanged. Data sharing a page with code (crt0's heap init loop) then
-   costs a byte compare per block, not a retranslation. *)
+(* Epoch and versions are only a filter: a store anywhere on a code
+   page bumps them, a pool reset bumps the epoch, but the block stays
+   correct as long as its own bytes are unchanged. Data sharing a page
+   with code (crt0's heap init loop) then costs a byte compare per
+   block, and a reset shell restoring the same image one compare per
+   block it reenters, not a retranslation. *)
 let revalidate tr b =
   if Memory.equal_string tr.mem ~off:b.b_pc b.b_code then begin
+    b.b_epoch <- Memory.epoch tr.mem;
     for i = 0 to Array.length b.b_pages - 1 do
       Array.unsafe_set b.b_vers i (Memory.page_version tr.mem (Array.unsafe_get b.b_pages i))
     done;
@@ -152,12 +154,6 @@ let imm_slot v =
   (b, 0)
 
 let rec lookup tr pc =
-  let e = Memory.epoch tr.mem in
-  if e <> tr.t_epoch then begin
-    (* pool reset: every cached block decoded stale bytes *)
-    Hashtbl.reset tr.table;
-    tr.t_epoch <- e
-  end;
   let key = key_of pc (Cpu.mode tr.cpu) in
   match Hashtbl.find tr.table key with
   | b when block_valid tr b || revalidate tr b -> b

@@ -11,10 +11,11 @@
     are unchanged its versions are restamped in place and it is reused,
     chain slots included. Only changed bytes cost a retranslation, so
     data that shares a page with code (crt0's heap init loop, say) no
-    longer thrashes the cache. A pool reset's epoch bump still drops
-    every block, at the reused shell's first dispatch: keeping blocks
-    across shell reuse would grow the live heap by every image the
-    shell ever ran.
+    longer thrashes the cache. A pool reset's epoch bump is handled the
+    same way: blocks survive it, and each is compared with the bytes the
+    next image put back when first reentered, so a recycled shell
+    rerunning its image translates nothing. The table holds at most one
+    block per [(pc, mode)] the vCPU has run.
 
     Observationally identical to the interpreter: same faults at the
     same PCs, same exits, bit-for-bit identical cycle counts and retired
@@ -48,7 +49,8 @@ val new_stats : unit -> stats
 
 val create : ?stats:stats -> Cpu.t -> t
 (** A translation cache bound to one CPU (and its memory). Blocks
-    persist across {!run} calls until invalidated. [stats] (default
+    persist across {!run} calls and memory resets until their bytes
+    change. [stats] (default
     {!new_stats}[ ()]) is the record its counters accumulate into;
     caches given the same record share one set of totals. *)
 

@@ -339,14 +339,26 @@ let test_block_reuse_and_invalidation () =
     (s.blocks_translated > after_first);
   Alcotest.(check int) "invalidation counted" 1 s.invalidations;
   Alcotest.(check int64) "new instruction executed" 2L (Vm.Cpu.get_reg cpu 0);
-  (* pool-style reset: epoch bump flushes everything *)
-  let snap = Vm.Memory.read_bytes mem ~off:origin ~len:(Bytes.length code) in
+  (* pool-style reset: blocks survive it. Restoring the same bytes
+     revalidates every block without retranslating one... *)
+  let restore prog =
+    Vm.Memory.reset_zero mem;
+    Vm.Memory.write_bytes mem ~off:origin (Encoding.encode_program prog)
+  in
   let before_reset = s.blocks_translated in
-  Vm.Memory.reset_zero mem;
-  Vm.Memory.write_bytes mem ~off:origin snap;
+  restore [ Mov (0, Imm 2L); Hlt ];
   run ();
-  Alcotest.(check bool) "epoch bump forces retranslation" true
-    (s.blocks_translated > before_reset)
+  Alcotest.(check int) "same bytes after reset: nothing retranslated" before_reset
+    s.blocks_translated;
+  Alcotest.(check int) "same bytes after reset: no invalidation" 1 s.invalidations;
+  Alcotest.(check int64) "cached block still executes" 2L (Vm.Cpu.get_reg cpu 0);
+  (* ...while different bytes at the same pc retranslate once and run *)
+  restore [ Mov (0, Imm 3L); Hlt ];
+  run ();
+  Alcotest.(check int) "different bytes after reset retranslate" (before_reset + 1)
+    s.blocks_translated;
+  Alcotest.(check int) "one more invalidation" 2 s.invalidations;
+  Alcotest.(check int64) "new instruction executed after reset" 3L (Vm.Cpu.get_reg cpu 0)
 
 let test_data_on_code_page () =
   (* a loop fills a data area that shares its 4 KiB page with the loop's
@@ -558,6 +570,67 @@ let test_cow_restore_differential () =
       Alcotest.(check bool) "snapshot flags" true ((not s1) && s2)
   | _ -> assert false
 
+(* Same size and origin as [snap_image], different bytes from the loop
+   body on: a shell recycled between the two keeps blocks at the same
+   pcs that decode different instructions. *)
+let other_snap_image =
+  Wasp.Image.of_asm_string ~name:"snap-translate-other"
+    {|
+  mov r10, 0
+init:
+  add r10, 3
+  cmp r10, 3000
+  jlt init
+  mov r0, 6        ; snapshot hypercall
+  out 1, r0
+  mov r1, 0
+  ld64 r1, [r1]
+  add r1, r1
+  add r1, r10
+  mov r0, 0
+  out 1, r0
+|}
+
+let test_memcpy_alternating_images () =
+  (* two images alternate through one pooled shell under the default
+     `Memcpy reset; the shell's blocks survive every reset and are
+     revalidated by their bytes. Results and cycles must match an
+     interpreting runtime, and a repeat of the same image must translate
+     nothing. *)
+  let schedule =
+    [ (snap_image, "a", 1L); (other_snap_image, "b", 2L); (snap_image, "a", 3L);
+      (snap_image, "a", 4L); (other_snap_image, "b", 5L); (other_snap_image, "b", 6L) ]
+  in
+  let runs translate =
+    let w = Wasp.Runtime.create ~reset:`Memcpy ~translate () in
+    let stats = Kvmsim.Kvm.translation_stats (Wasp.Runtime.kvm w) in
+    List.map
+      (fun (image, key, arg) ->
+        let before = stats.Vm.Translate.blocks_translated in
+        let r = Wasp.Runtime.run w image ~policy:snap_policy ~snapshot_key:key ~args:[ arg ] () in
+        ( (r.Wasp.Runtime.return_value, r.Wasp.Runtime.cycles, r.Wasp.Runtime.from_pool),
+          stats.Vm.Translate.blocks_translated - before ))
+      schedule
+  in
+  let translated = runs true and interpreted = runs false in
+  List.iteri
+    (fun i (((rv_t, cyc_t, pool_t), _), ((rv_i, cyc_i, pool_i), _)) ->
+      Alcotest.(check int64) (Printf.sprintf "run %d return value" i) rv_i rv_t;
+      Alcotest.(check int64) (Printf.sprintf "run %d cycles" i) cyc_i cyc_t;
+      Alcotest.(check bool) (Printf.sprintf "run %d from_pool" i) pool_i pool_t)
+    (List.combine translated interpreted);
+  let values = List.map (fun ((rv, _, _), _) -> rv) translated in
+  Alcotest.(check (list int64)) "each image computed" [ 5001L; 3004L; 5003L; 5004L; 3010L; 3012L ]
+    values;
+  let pooled = List.map (fun ((_, _, p), _) -> p) translated in
+  Alcotest.(check (list bool)) "one recycled shell" [ false; true; true; true; true; true ] pooled;
+  match List.map snd translated with
+  | [ _; _; a_after_b; a_after_a; b_after_a; b_after_b ] ->
+      Alcotest.(check bool) "changed bytes retranslate" true (a_after_b > 0 && b_after_a > 0);
+      Alcotest.(check (pair int int)) "a repeated image translates nothing" (0, 0)
+        (a_after_a, b_after_b)
+  | _ -> assert false
+
 let () =
   Alcotest.run "translate"
     [
@@ -590,5 +663,7 @@ let () =
         [
           Alcotest.test_case "cow restore differential" `Quick
             test_cow_restore_differential;
+          Alcotest.test_case "memcpy reset alternating images" `Quick
+            test_memcpy_alternating_images;
         ] );
     ]
