@@ -153,8 +153,10 @@ type served = {
   exits : int;
 }
 
+(* [response_bytes] comes straight from [Hostenv.recv] and nothing else
+   holds it, so it is parsed in place rather than copied to a string. *)
 let parse_served response_bytes ~cycles ~hypercalls ~exits =
-  match Http.parse_response (Bytes.to_string response_bytes) with
+  match Http.parse_response (Bytes.unsafe_to_string response_bytes) with
   | Ok r -> { status = r.Http.status; body = r.Http.resp_body; cycles; hypercalls; exits }
   | Error e -> failwith ("fileserver: bad response: " ^ e)
 

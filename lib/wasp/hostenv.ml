@@ -35,7 +35,8 @@ let read_fd t ~fd ~len =
       | Some contents ->
           let avail = max 0 (String.length contents - f.offset) in
           let n = min len avail in
-          let b = Bytes.of_string (String.sub contents f.offset n) in
+          let b = Bytes.create n in
+          Bytes.blit_string contents f.offset b 0 n;
           f.offset <- f.offset + n;
           Some b)
 
@@ -46,28 +47,60 @@ let close_fd t ~fd =
   end
   else false
 
-type endpoint = { id : int; incoming : Buffer.t; peer_incoming : Buffer.t }
+(* One direction of a socket: the chunks [send] handed over, in order,
+   and how far [recv] has consumed the first. Payloads above 2 KiB are
+   allocated straight into the major heap, so a request that moved its
+   response through a growable buffer and back paid several such copies;
+   a whole-chunk [recv] now hands the sender's buffer on untouched. *)
+type chan = { chunks : Bytes.t Queue.t; mutable off : int; mutable len : int }
+
+type endpoint = { id : int; incoming : chan; peer_incoming : chan }
 
 let socket_pair t =
-  let a_buf = Buffer.create 256 and b_buf = Buffer.create 256 in
-  let a = { id = t.next_endpoint; incoming = a_buf; peer_incoming = b_buf } in
-  let b = { id = t.next_endpoint + 1; incoming = b_buf; peer_incoming = a_buf } in
+  let chan () = { chunks = Queue.create (); off = 0; len = 0 } in
+  let a_in = chan () and b_in = chan () in
+  let a = { id = t.next_endpoint; incoming = a_in; peer_incoming = b_in } in
+  let b = { id = t.next_endpoint + 1; incoming = b_in; peer_incoming = a_in } in
   t.next_endpoint <- t.next_endpoint + 2;
   (a, b)
 
 let send ep b =
-  Buffer.add_bytes ep.peer_incoming b;
-  Bytes.length b
+  let c = ep.peer_incoming and n = Bytes.length b in
+  if n > 0 then begin
+    Queue.push b c.chunks;
+    c.len <- c.len + n
+  end;
+  n
 
 let recv ep ~max =
-  let avail = Buffer.length ep.incoming in
-  let n = min max avail in
-  let out = Bytes.of_string (Buffer.sub ep.incoming 0 n) in
-  let rest = Buffer.sub ep.incoming n (avail - n) in
-  Buffer.clear ep.incoming;
-  Buffer.add_string ep.incoming rest;
-  out
+  let c = ep.incoming in
+  let n = min max c.len in
+  if n <= 0 then Bytes.empty
+  else if c.off = 0 && Bytes.length (Queue.peek c.chunks) = n then begin
+    c.len <- c.len - n;
+    Queue.pop c.chunks
+  end
+  else begin
+    (* a partial read, or one spanning chunks: copy out *)
+    let out = Bytes.create n in
+    let rec fill pos =
+      if pos < n then begin
+        let chunk = Queue.peek c.chunks in
+        let k = min (n - pos) (Bytes.length chunk - c.off) in
+        Bytes.blit chunk c.off out pos k;
+        if c.off + k = Bytes.length chunk then begin
+          ignore (Queue.pop c.chunks);
+          c.off <- 0
+        end
+        else c.off <- c.off + k;
+        fill (pos + k)
+      end
+    in
+    fill 0;
+    c.len <- c.len - n;
+    out
+  end
 
-let pending ep = Buffer.length ep.incoming
+let pending ep = ep.incoming.len
 
 let endpoint_id ep = ep.id

@@ -36,10 +36,15 @@ type endpoint
 val socket_pair : t -> endpoint * endpoint
 
 val send : endpoint -> bytes -> int
-(** Enqueue bytes toward the peer; returns the count written. *)
+(** Enqueue bytes toward the peer; returns the count written. The
+    endpoint takes ownership of the buffer without copying it: pass a
+    fresh [bytes] and do not touch it afterwards. *)
 
 val recv : endpoint -> max:int -> bytes
-(** Dequeue up to [max] bytes sent by the peer; empty if none pending. *)
+(** Dequeue up to [max] bytes sent by the peer; empty if none pending.
+    When exactly one whole sent buffer is taken, that buffer itself is
+    returned; only a partial read or one spanning sends copies. The
+    result belongs to the caller. *)
 
 val pending : endpoint -> int
 (** Bytes available to [recv]. *)
