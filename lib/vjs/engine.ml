@@ -111,7 +111,7 @@ let compile src =
       let tokens = List.length toks in
       match Jsparse.parse toks with
       | exception Jsparse.Error { line; msg } -> { tokens; program = Error (syntax_error line msg) }
-      | prog -> { tokens; program = Ok (Jscomp.program prog) })
+      | prog -> { tokens; program = Result.map_error Jscomp.error_message (Jscomp.program prog) })
 
 let load t c =
   Jscomp.reset_steps t.rt;

@@ -18,6 +18,15 @@ exception Break_exc
 exception Continue_exc
 exception Throw_exc of t
 
+type error = Break_outside_loop | Continue_outside_loop
+
+(* raised while compiling, returned by [program] *)
+exception Compile_error of error
+
+let error_message = function
+  | Break_outside_loop -> "SyntaxError: break outside a loop"
+  | Continue_outside_loop -> "SyntaxError: continue outside a loop"
+
 let cost_per_node = 22
 
 type rt = {
@@ -488,7 +497,7 @@ and assign cenv (target : Jsast.expr) : rt -> frame -> t -> unit =
 and func cenv params body : rt -> frame -> t array -> t =
   let cenv, size = enter cenv (params @ decls body) in
   let pslots = Array.of_list (List.map (fun p -> Hashtbl.find (List.hd cenv) p) params) in
-  let body = stmts cenv body in
+  let body = stmts ~loop:false cenv body in
   fun rt fr args ->
     let fr = frame size fr in
     for i = 0 to Array.length pslots - 1 do
@@ -496,14 +505,16 @@ and func cenv params body : rt -> frame -> t array -> t =
     done;
     match body rt fr with () -> Undefined | exception Return_exc v -> v
 
-(* a statement list run in a fresh scope: a frame only if it declares *)
-and block cenv body : scode =
+(* a statement list run in a fresh scope: a frame only if it declares.
+   [loop] says whether the list sits in a loop of the same function,
+   where [break] and [continue] are allowed. *)
+and block ~loop cenv body : scode =
   let cenv, size = enter cenv (decls body) in
-  let body = stmts cenv body in
+  let body = stmts ~loop cenv body in
   if size = 0 then body else fun rt fr -> body rt (frame size fr)
 
-and stmts cenv body : scode =
-  match Array.of_list (List.map (stmt cenv) body) with
+and stmts ~loop cenv body : scode =
+  match Array.of_list (List.map (stmt ~loop cenv) body) with
   | [||] -> fun _ _ -> ()
   | [| s |] -> s
   | codes ->
@@ -512,7 +523,7 @@ and stmts cenv body : scode =
           codes.(i) rt fr
         done
 
-and stmt cenv (s : Jsast.stmt) : scode =
+and stmt ~loop cenv (s : Jsast.stmt) : scode =
   match s with
   | Jsast.Sexpr e ->
       let e = expr cenv e in
@@ -523,10 +534,10 @@ and stmt cenv (s : Jsast.stmt) : scode =
         tick rt;
         def rt fr (match init with Some e -> e rt fr | None -> Undefined)
   | Jsast.Sif (c, t, f) ->
-      let c = expr cenv c and t = block cenv t and f = block cenv f in
+      let c = expr cenv c and t = block ~loop cenv t and f = block ~loop cenv f in
       fun rt fr -> tick rt; if truthy (c rt fr) then t rt fr else f rt fr
   | Jsast.Swhile (c, body) ->
-      let c = expr cenv c and body = block cenv body in
+      let c = expr cenv c and body = block ~loop:true cenv body in
       fun rt fr ->
         tick rt;
         (try
@@ -537,9 +548,9 @@ and stmt cenv (s : Jsast.stmt) : scode =
   | Jsast.Sfor (init, cond, step, body) ->
       (* init, cond and step share one frame; the body gets its own *)
       let fcenv, size = enter cenv (match init with Some s -> decls [ s ] | None -> []) in
-      let init = match init with Some s -> stmt fcenv s | None -> fun _ _ -> () in
+      let init = match init with Some s -> stmt ~loop fcenv s | None -> fun _ _ -> () in
       let cond = Option.map (expr fcenv) cond and step = Option.map (expr fcenv) step in
-      let body = block fcenv body in
+      let body = block ~loop:true fcenv body in
       fun rt fr ->
         tick rt;
         let fr = frame size fr in
@@ -556,26 +567,30 @@ and stmt cenv (s : Jsast.stmt) : scode =
       fun rt fr ->
         tick rt;
         raise (Return_exc (match e with Some e -> e rt fr | None -> Undefined))
-  | Jsast.Sbreak -> fun rt _ -> tick rt; raise Break_exc
-  | Jsast.Scontinue -> fun rt _ -> tick rt; raise Continue_exc
+  | Jsast.Sbreak ->
+      if not loop then raise (Compile_error Break_outside_loop);
+      fun rt _ -> tick rt; raise Break_exc
+  | Jsast.Scontinue ->
+      if not loop then raise (Compile_error Continue_outside_loop);
+      fun rt _ -> tick rt; raise Continue_exc
   | Jsast.Sfundecl (name, params, body) ->
       let def = define cenv name and f = func cenv params body in
       fun rt fr -> tick rt; def rt fr (Fun { fname = name; call = f rt fr })
   | Jsast.Sblock body ->
-      let body = block cenv body in
+      let body = block ~loop cenv body in
       fun rt fr -> tick rt; body rt fr
   | Jsast.Sthrow e ->
       let e = expr cenv e in
       fun rt fr -> tick rt; raise (Throw_exc (e rt fr))
   | Jsast.Stry (body, catch, fin) ->
-      let body = block cenv body and fin = block cenv fin in
+      let body = block ~loop cenv body and fin = block ~loop cenv fin in
       (* runtime errors are catchable, surfaced as strings *)
       let catch =
         Option.map
           (fun (binding, cbody) ->
             let ccenv, size = enter cenv (binding :: decls cbody) in
             let slot = Hashtbl.find (List.hd ccenv) binding in
-            let cbody = stmts ccenv cbody in
+            let cbody = stmts ~loop ccenv cbody in
             fun rt fr v ->
               let fr = frame size fr in
               fr.vars.(slot) <- v;
@@ -604,16 +619,17 @@ type program = top list
 (* Top-level function declarations are bound first and charge nothing; a
    top-level expression statement charges only its expression, and the
    last one's value is the program's value (REPL-style). *)
-let program (prog : Jsast.program) : program =
-  let hoisted, rest =
+let program (prog : Jsast.program) : (program, error) result =
+  match
     List.partition_map
       (function
         | Jsast.Sfundecl (name, params, body) -> Left (Hoisted (name, func [] params body))
         | Jsast.Sexpr e -> Right (Value (expr [] e))
-        | s -> Right (Exec (stmt [] s)))
+        | s -> Right (Exec (stmt ~loop:false [] s)))
       prog
-  in
-  hoisted @ rest
+  with
+  | hoisted, rest -> Ok (hoisted @ rest)
+  | exception Compile_error e -> Error e
 
 let exec rt prog =
   List.fold_left

@@ -35,9 +35,19 @@ val steps : rt -> int
 
 type program
 
-val program : Jsast.program -> program
-(** Resolve and compile. Compilation never fails and charges nothing;
-    every error is a runtime error. *)
+type error =
+  | Break_outside_loop  (** a [break] not inside a loop of its own function *)
+  | Continue_outside_loop  (** likewise for [continue] *)
+
+val error_message : error -> string
+(** The [SyntaxError] text {!Engine} reports. *)
+
+val program : Jsast.program -> (program, error) result
+(** Resolve and compile; charges nothing. A [break] or [continue] with
+    no enclosing loop in the same function (at top level, in a function
+    body, or in a function called from a loop) is rejected here, so
+    neither can unwind past a function or program boundary. Every other
+    error is a runtime error. *)
 
 val run : rt -> program -> (Jsvalue.t, string) result
 (** Bind the top-level function declarations (charging nothing), then

@@ -289,7 +289,11 @@ let run_compiled ~max_steps src =
   let cycles = ref 0 and console = Buffer.create 64 in
   let rt = Vjs.Jscomp.create_rt ~charge:(fun c -> cycles := !cycles + c) ~max_steps in
   Hashtbl.replace (Vjs.Jscomp.globals rt) "print" (print_native console);
-  let r = Vjs.Jscomp.run rt (Vjs.Jscomp.program (parse src)) in
+  let r =
+    match Vjs.Jscomp.program (parse src) with
+    | Ok prog -> Vjs.Jscomp.run rt prog
+    | Error e -> Error (Vjs.Jscomp.error_message e)
+  in
   (render r, Vjs.Jscomp.steps rt, !cycles, Buffer.contents console)
 
 let run_reference ~max_steps src =
@@ -444,6 +448,37 @@ let test_scoping_quirks () =
   quirk "a step budget error is catchable" ~expect:"error: script step budget exceeded"
     "var r = 0; try { while (true) { } } catch (e) { r = e; } r"
 
+(* A break/continue with no loop of its own function around it is a
+   compile error on both evaluators: nothing runs, nothing is charged,
+   and no exception escapes to the host. *)
+let test_stray_jumps () =
+  let stray label ~expect src =
+    let ((r, steps, cycles, console) as c) = run_compiled ~max_steps:10_000 src in
+    Alcotest.(check string) label ("error: SyntaxError: " ^ expect ^ " outside a loop") r;
+    Alcotest.(check (pair int int)) (label ^ ": nothing ran") (0, 0) (steps, cycles);
+    Alcotest.(check string) (label ^ ": nothing printed") "" console;
+    Alcotest.(check string) (label ^ ": same as the walker") (show (run_reference ~max_steps:10_000 src)) (show c)
+  in
+  stray "top-level break" ~expect:"break" {|print("before"); break;|};
+  stray "top-level continue" ~expect:"continue" "{ continue; }";
+  stray "UDF body" ~expect:"continue" "function f(d) { continue; }";
+  stray "break in a function called from a loop" ~expect:"break"
+    "function f() { break; } while (true) { f(); }";
+  stray "break in a closure inside a loop" ~expect:"break"
+    "for (var i = 0; i < 3; i++) { (function () { if (i) { break; } })(); }";
+  quirk "break in a loop inside a function" ~expect:"number 2"
+    "function f() { var i = 0; while (true) { try { if (i === 2) { break; } } finally { i++; } } return i - 1; } f()";
+  (* through the engine and the isolate: an error, never an exception *)
+  let e = Vjs.Engine.create () in
+  (match Vjs.Engine.eval e "break;" with
+  | Error msg -> Alcotest.(check string) "Engine.eval" "SyntaxError: break outside a loop" msg
+  | Ok _ -> Alcotest.fail "expected a syntax error");
+  let w = Wasp.Runtime.create () in
+  let iso = Vjs.Isolate.create w ~key:"stray" ~source:"function f(d) { continue; }" ~entry:"f" in
+  match Vjs.Isolate.invoke iso ~input:(Bytes.of_string "x") with
+  | Error _, _ -> ()
+  | Ok r, _ -> Alcotest.failf "expected an error, got %s" r
+
 (* ------------------------------------------------------------------ *)
 (* Allocation gate                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -571,6 +606,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7a5 |]) prop_differential;
           Alcotest.test_case "scoping quirks" `Quick test_scoping_quirks;
+          Alcotest.test_case "stray break/continue" `Quick test_stray_jumps;
         ] );
       ("allocation", [ Alcotest.test_case "warm 512 B invoke" `Quick test_warm_invoke_allocation ]);
       ( "workload",

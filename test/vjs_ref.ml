@@ -382,12 +382,59 @@ and exec_stmt it env (s : Jsast.stmt) : unit =
 
 and exec_stmts it env stmts = List.iter (exec_stmt it env) stmts
 
+(* A [break] or [continue] must sit in a loop of its own function; the
+   whole program is rejected before any of it runs, as the engine's
+   compiler does. *)
+exception Stray of string
+
+let rec check_stmts in_loop body = List.iter (check_stmt in_loop) body
+
+and check_stmt in_loop (s : Jsast.stmt) =
+  match s with
+  | Jsast.Sbreak -> if not in_loop then raise (Stray "SyntaxError: break outside a loop")
+  | Jsast.Scontinue -> if not in_loop then raise (Stray "SyntaxError: continue outside a loop")
+  | Jsast.Sexpr e | Jsast.Sthrow e | Jsast.Svar (_, Some e) | Jsast.Sreturn (Some e) -> check_expr e
+  | Jsast.Svar (_, None) | Jsast.Sreturn None -> ()
+  | Jsast.Sif (c, t, f) ->
+      check_expr c;
+      check_stmts in_loop t;
+      check_stmts in_loop f
+  | Jsast.Swhile (c, body) ->
+      check_expr c;
+      check_stmts true body
+  | Jsast.Sfor (init, cond, step, body) ->
+      Option.iter (check_stmt in_loop) init;
+      Option.iter check_expr cond;
+      Option.iter check_expr step;
+      check_stmts true body
+  | Jsast.Sfundecl (_, _, body) -> check_stmts false body
+  | Jsast.Sblock body -> check_stmts in_loop body
+  | Jsast.Stry (body, catch, fin) ->
+      check_stmts in_loop body;
+      Option.iter (fun (_, c) -> check_stmts in_loop c) catch;
+      check_stmts in_loop fin
+
+and check_expr (e : Jsast.expr) =
+  match e with
+  | Jsast.Efun (_, body) -> check_stmts false body
+  | Jsast.Enum _ | Jsast.Estr _ | Jsast.Ebool _ | Jsast.Enull | Jsast.Eundefined | Jsast.Eident _ -> ()
+  | Jsast.Earray es -> List.iter check_expr es
+  | Jsast.Eobject fields -> List.iter (fun (_, e) -> check_expr e) fields
+  | Jsast.Ecall (f, args) -> List.iter check_expr (f :: args)
+  | Jsast.Emethod (recv, _, args) -> List.iter check_expr (recv :: args)
+  | Jsast.Eprop (e, _) | Jsast.Eunop (_, e) | Jsast.Etypeof e -> check_expr e
+  | Jsast.Eindex (a, b) | Jsast.Ebinop (_, a, b) | Jsast.Eassign (a, b) ->
+      check_expr a;
+      check_expr b
+  | Jsast.Econd (c, a, b) -> List.iter check_expr [ c; a; b ]
+
 (* the engine's top level: hoisted declarations charge nothing, and a
    top-level expression statement charges only its expression *)
 let run it globals prog =
   reset_steps it;
   let result = ref Undefined in
   let go () =
+    check_stmts false prog;
     List.iter
       (function
         | Jsast.Sfundecl (name, params, body) ->
@@ -403,6 +450,7 @@ let run it globals prog =
   in
   match go () with
   | () -> Ok !result
+  | exception Stray msg -> Error msg
   | exception Js_error msg -> Error msg
   | exception Throw_exc v -> Error ("uncaught: " ^ to_string v)
   | exception Return_exc _ -> Error "return outside function"
