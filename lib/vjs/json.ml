@@ -9,7 +9,7 @@ let rec stringify_impl (v : Jsvalue.t) : string =
   | Undefined -> "null"
   | Null -> "null"
   | Bool b -> string_of_bool b
-  | Num n -> number_to_string n
+  | Num n -> if Float.is_finite n then number_to_string n else "null"
   | Str s ->
       let buf = Buffer.create (String.length s + 2) in
       Buffer.add_char buf '"';

@@ -81,12 +81,40 @@ let truthy = function
   | Str s -> s <> ""
   | Arr _ | Obj _ | Fun _ | Native _ -> true
 
+(* Number::toString: the fewest significant digits that read back as
+   [n], written out plainly below 1e21 and from 1e-6 up, with an
+   exponent otherwise. Integers below 1e15 are exact in those digits. *)
 let number_to_string n =
-  if Float.is_integer n && Float.abs n < 1e15 then Printf.sprintf "%.0f" n
+  if Float.is_integer n && Float.abs n < 1e15 then
+    if n = 0.0 then "0" (* -0 too *) else Printf.sprintf "%.0f" n
   else if Float.is_nan n then "NaN"
   else if n = Float.infinity then "Infinity"
   else if n = Float.neg_infinity then "-Infinity"
-  else Printf.sprintf "%g" n
+  else begin
+    let a = Float.abs n in
+    let rec shortest p =
+      let s = Printf.sprintf "%.*e" p a in
+      if p >= 16 || float_of_string s = a then s else shortest (p + 1)
+    in
+    let s = shortest 0 in
+    let e = String.index s 'e' in
+    (* [a] = 0.[digits] * 10^[point] *)
+    let digits = String.concat "" (String.split_on_char '.' (String.sub s 0 e)) in
+    let point = int_of_string (String.sub s (e + 1) (String.length s - e - 1)) + 1 in
+    let k = String.length digits in
+    let body =
+      if k <= point && point <= 21 then digits ^ String.make (point - k) '0'
+      else if 0 < point && point <= 21 then
+        String.sub digits 0 point ^ "." ^ String.sub digits point (k - point)
+      else if -6 < point && point <= 0 then "0." ^ String.make (-point) '0' ^ digits
+      else
+        let mantissa =
+          if k = 1 then digits else String.sub digits 0 1 ^ "." ^ String.sub digits 1 (k - 1)
+        in
+        Printf.sprintf "%se%s%d" mantissa (if point > 0 then "+" else "-") (abs (point - 1))
+    in
+    if n < 0.0 then "-" ^ body else body
+  end
 
 let rec to_string = function
   | Undefined -> "undefined"

@@ -53,8 +53,10 @@ val type_name : t -> string
 val truthy : t -> bool
 val to_string : t -> string
 val number_to_string : float -> string
-(** Integers below 1e15 print without a fraction; [NaN], [Infinity] and
-    [-Infinity] print as in JS. *)
+(** As JS's [Number.prototype.toString()]: the shortest digits that
+    round-trip ([1/3] is [0.3333333333333333]), plain from 1e-6 up to
+    1e21 and in exponent form ([1e+21], [1.5e-7]) outside; [-0] is
+    ["0"]; [NaN], [Infinity] and [-Infinity] as named. *)
 
 val to_number : t -> float
 (** Strings convert only from JS numeric syntax: trimmed decimal with an

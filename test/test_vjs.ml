@@ -92,7 +92,21 @@ let test_numbers () =
   (* non-finite numbers print as JS does *)
   Alcotest.(check string) "Infinity renders" "Infinity" (eval_str {|"" + ("Infinity" * 1)|});
   Alcotest.(check string) "-Infinity renders" "-Infinity" (eval_str {|"" + (-1 / 0)|});
-  Alcotest.(check string) "NaN renders" "NaN" (eval_str {|"" + (0 / 0)|})
+  Alcotest.(check string) "NaN renders" "NaN" (eval_str {|"" + (0 / 0)|});
+  (* other numbers print the shortest digits that round-trip *)
+  let prints expect src = Alcotest.(check string) src expect (eval_str ({|"" + |} ^ src)) in
+  prints "0.3333333333333333" "1 / 3";
+  prints "123456.789" "123456.789";
+  prints "0.30000000000000004" "(0.1 + 0.2)";
+  prints "-2.5" "(-2.5)";
+  prints "0" "(-0)";
+  prints "0.000001" "(1 / 1000000)";
+  prints "1e-7" "(1 / 10000000)";
+  prints "1.5e-7" "(15 / 100000000)";
+  prints "9007199254740992" "Math.pow(2, 53)";
+  prints "100000000000000000000" "Math.pow(10, 20)";
+  prints "1e+21" "Math.pow(10, 21)";
+  prints "-1.2345e+22" "(-12345 * Math.pow(10, 18))"
 
 let test_comparisons () =
   fnum "lt true" 1.0 (eval_num "(1 < 2) ? 1 : 0");
@@ -159,6 +173,9 @@ let test_json () =
   Alcotest.(check string) "stringify object" {|{"a":1,"b":[true,null,"x"]}|}
     (eval_str {|JSON.stringify({ a: 1, b: [true, null, "x"] })|});
   Alcotest.(check string) "stringify escapes" "\"a\\nb\"" (eval_str "JSON.stringify(\"a\\nb\")");
+  (* JSON has no non-finite numbers *)
+  Alcotest.(check string) "stringify non-finite" "[null,null,null,0.5]"
+    (eval_str "JSON.stringify([1 / 0, -1 / 0, 0 / 0, 1 / 2])");
   fnum "parse number" 42.0 (eval_num {|JSON.parse("42")|});
   fnum "parse nested" 7.0
     (eval_num "JSON.parse(\"{\\\"x\\\": [1, {\\\"y\\\": 7}]}\").x[1].y");
