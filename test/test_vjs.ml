@@ -483,6 +483,8 @@ let test_stray_jumps () =
     "function f() { break; } while (true) { f(); }";
   stray "break in a closure inside a loop" ~expect:"break"
     "for (var i = 0; i < 3; i++) { (function () { if (i) { break; } })(); }";
+  stray "the first stray in evaluation order" ~expect:"continue"
+    "a[function () { break; }] = function () { continue; };";
   quirk "break in a loop inside a function" ~expect:"number 2"
     "function f() { var i = 0; while (true) { try { if (i === 2) { break; } } finally { i++; } } return i - 1; } f()";
   (* through the engine and the isolate: an error, never an exception *)

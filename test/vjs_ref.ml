@@ -423,9 +423,13 @@ and check_expr (e : Jsast.expr) =
   | Jsast.Ecall (f, args) -> List.iter check_expr (f :: args)
   | Jsast.Emethod (recv, _, args) -> List.iter check_expr (recv :: args)
   | Jsast.Eprop (e, _) | Jsast.Eunop (_, e) | Jsast.Etypeof e -> check_expr e
-  | Jsast.Eindex (a, b) | Jsast.Ebinop (_, a, b) | Jsast.Eassign (a, b) ->
+  | Jsast.Eindex (a, b) | Jsast.Ebinop (_, a, b) ->
       check_expr a;
       check_expr b
+  | Jsast.Eassign (target, value) ->
+      (* the value first, in the order it is evaluated *)
+      check_expr value;
+      check_expr target
   | Jsast.Econd (c, a, b) -> List.iter check_expr [ c; a; b ]
 
 (* the engine's top level: hoisted declarations charge nothing, and a
