@@ -204,11 +204,7 @@ let serve_native ~env ~clock ~rng ~path =
             | None -> (404, "")
             | Some fd ->
                 charge Cycles.Costs.host_read;
-                let contents =
-                  match Wasp.Hostenv.read_fd env ~fd ~len:2048 with
-                  | Some b -> Bytes.to_string b
-                  | None -> ""
-                in
+                let contents = Option.value (Wasp.Hostenv.read_fd env ~fd ~len:2048) ~default:"" in
                 charge (Cycles.Costs.memcpy_cost (String.length contents));
                 charge Cycles.Costs.host_write;
                 charge Cycles.Costs.host_close;

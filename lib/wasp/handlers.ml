@@ -48,8 +48,9 @@ let h_read (inv : Inv.t) args =
         match Hostenv.read_fd inv.env ~fd ~len with
         | None -> Hc.err_badf
         | Some data ->
-            guest_write_buf inv ~ptr data;
-            Int64.of_int (Bytes.length data)
+            (* the guest write only reads the file's bytes *)
+            guest_write_buf inv ~ptr (Bytes.unsafe_of_string data);
+            Int64.of_int (String.length data)
       end)
 
 (* write(fd, buf, len): fd 0 is the connection; 1 and 2 the console. *)

@@ -35,10 +35,9 @@ let read_fd t ~fd ~len =
       | Some contents ->
           let avail = max 0 (String.length contents - f.offset) in
           let n = min len avail in
-          let b = Bytes.create n in
-          Bytes.blit_string contents f.offset b 0 n;
+          let s = if n = String.length contents then contents else String.sub contents f.offset n in
           f.offset <- f.offset + n;
-          Some b)
+          Some s)
 
 let close_fd t ~fd =
   if Hashtbl.mem t.fds fd then begin

@@ -19,9 +19,10 @@ val file_size : t -> path:string -> int option
 val open_file : t -> path:string -> int option
 (** Returns a descriptor, or [None] if the path does not exist. *)
 
-val read_fd : t -> fd:int -> len:int -> bytes option
+val read_fd : t -> fd:int -> len:int -> string option
 (** Read from the descriptor's offset, advancing it. [None] on a bad
-    descriptor; [Some ""] at EOF. *)
+    descriptor; [Some ""] at EOF. A read of a whole file returns the
+    file's contents without copying them. *)
 
 val close_fd : t -> fd:int -> bool
 
