@@ -46,11 +46,11 @@ let close_fd t ~fd =
   end
   else false
 
-(* One direction of a socket: the chunks [send] handed over, in order,
-   and how far [recv] has consumed the first. Payloads above 2 KiB are
-   allocated straight into the major heap, so a request that moved its
-   response through a growable buffer and back paid several such copies;
-   a whole-chunk [recv] now hands the sender's buffer on untouched. *)
+(* One direction of a socket: the buffers [send] handed over, in order,
+   and how far [recv] has consumed the first. They are queued, not
+   copied, and a whole-buffer [recv] hands one on untouched: payloads
+   above 2 KiB are allocated straight into the major heap, where every
+   copy adds to the garbage the major GC must keep pace with. *)
 type chan = { chunks : Bytes.t Queue.t; mutable off : int; mutable len : int }
 
 type endpoint = { id : int; incoming : chan; peer_incoming : chan }
