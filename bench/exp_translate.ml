@@ -6,10 +6,11 @@
    The gated table holds only deterministic simulated quantities —
    retired instructions, simulated cycles per engine, the divergence
    count, translated superblock counts (per kernel, and per cold
-   invocation through Wasp.Runtime on a fresh and on a recycled shell). Wall-clock speedup depends on the
-   host machine and allocation per instruction on the build, so both
-   are printed as ungated notes, plus the TRANSLATE-SMOKE marker line
-   that the translate smoke in bin/dune greps. *)
+   invocation through Wasp.Runtime on a fresh and on a recycled shell).
+   Wall-clock speedup depends on the host machine and allocation per
+   instruction on the build, so both are printed as ungated notes, plus
+   the TRANSLATE-SMOKE marker line that the translate smoke in bin/dune
+   greps. *)
 
 let origin = 0x8000
 

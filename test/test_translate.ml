@@ -343,7 +343,8 @@ let test_block_reuse_and_invalidation () =
      revalidates every block without retranslating one... *)
   let restore prog =
     Vm.Memory.reset_zero mem;
-    Vm.Memory.write_bytes mem ~off:origin (Encoding.encode_program prog)
+    Vm.Memory.write_bytes mem ~off:origin (Encoding.encode_program prog);
+    Vm.Cpu.set_reg cpu 0 0L
   in
   let before_reset = s.blocks_translated in
   restore [ Mov (0, Imm 2L); Hlt ];
